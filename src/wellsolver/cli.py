@@ -7,6 +7,8 @@ Exit codes, shared by every verb:
 * 2 - the run stopped on a positivity violation (Case B, w too large)
 * 3 - the run hit the iteration cap before the tolerances
 * 4 - bad configuration, unusable input file, or I/O failure
+* 5 - the run produced a non-finite shift or ratio (grid too coarse for
+  the problem); the trace up to that iteration is still written
 
 Traces are CSV by default (``--format json`` for the same rows as JSON).
 The CSV starts with ``# trace-v1 config=<sha256>`` so a report can always
@@ -73,6 +75,20 @@ EXIT_VERDICT = 1
 EXIT_POSITIVITY = 2
 EXIT_MAX_ITER = 3
 EXIT_CONFIG = 4
+EXIT_NONFINITE = 5
+
+# Engine stop reasons other than "tolerance": exit code and stderr line.
+_STOP_EXITS = {
+    "positivity_violation": (
+        EXIT_POSITIVITY,
+        "stopped: positivity violation (Case B, w too large)",
+    ),
+    "max_iter": (EXIT_MAX_ITER, "stopped: iteration cap reached before tolerances"),
+    "nonfinite": (
+        EXIT_NONFINITE,
+        "stopped: non-finite shift or ratio (grid too coarse for this problem?)",
+    ),
+}
 
 TRACE_VERSION = "trace-v1"
 SWEEP_VERSION = "sweep-v1"
@@ -174,12 +190,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"missing {missing}, unexpected {extra}"
         )
     p = {k: float(v) for k, v in cfg.params.items()}
+    if not all(isfinite(v) for v in p.values()):
+        raise ConfigError(f"{cfg.problem}: parameters must be finite")
     if cfg.case not in ("A", "B"):
         raise ConfigError("case must be 'A' or 'B'")
-    if not cfg.grid.density > 0:
-        raise ConfigError("grid density must be positive")
-    if cfg.grid.x_max is not None and not cfg.grid.x_max > 0:
-        raise ConfigError("x_max must be positive when given")
+    if not (cfg.grid.density > 0 and isfinite(cfg.grid.density)):
+        raise ConfigError("grid density must be positive and finite")
+    if cfg.grid.x_max is not None and not (
+        cfg.grid.x_max > 0 and isfinite(cfg.grid.x_max)
+    ):
+        raise ConfigError("x_max must be positive and finite when given")
     if cfg.engine.max_iter < 1:
         raise ConfigError("max_iter must be at least 1")
     if cfg.engine.tol_e < 0 or cfg.engine.tol_f < 0:
@@ -483,6 +503,15 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+def _stop_exit(stop_reason: str) -> int:
+    """Exit code for an engine stop reason, printing the reason if not 0."""
+    if stop_reason not in _STOP_EXITS:
+        return EXIT_OK
+    code, reason = _STOP_EXITS[stop_reason]
+    print(reason, file=sys.stderr)
+    return code
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         cfg = _config_from_args(args)
@@ -498,12 +527,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if trace.stop_reason == "positivity_violation":
-        print("stopped: positivity violation (Case B, w too large)", file=sys.stderr)
-        return EXIT_POSITIVITY
-    if trace.stop_reason == "max_iter":
-        print("stopped: iteration cap reached before tolerances", file=sys.stderr)
-        return EXIT_MAX_ITER
+    code = _stop_exit(trace.stop_reason)
+    if code != EXIT_OK:
+        return code
     report = certify(trace)
     if not report.ok:
         print(
@@ -595,7 +621,7 @@ def cmd_squarewell(args: argparse.Namespace) -> int:
     }
     if args.format == "json":
         _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
-        return EXIT_OK
+        return _stop_exit(trace.stop_reason)
     lines = [
         f"double square well: W={_fmt(model.W)} mu={_fmt(model.mu)} "
         f"alpha={_fmt(model.alpha)} beta={_fmt(model.beta)}",
@@ -614,7 +640,7 @@ def cmd_squarewell(args: argparse.Namespace) -> int:
         "",
     ]
     _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    return _stop_exit(trace.stop_reason)
 
 
 def cmd_twolevel(args: argparse.Namespace) -> int:
@@ -659,6 +685,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     try:
         cfg = _config_from_args(args)
         validate_config(cfg)
+        if args.levels < 1:
+            raise ConfigError("--levels must be at least 1")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -698,24 +726,28 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     else:
         V = Samples(grid, v_func(grid.nodes))
     res = fd_ground_state(V, v_func=v_func, mirror_even=mirror, levels=args.levels)
+    ref = res.refinement
+    # a single level has no refinement study: its raw eigenvalue stands alone
+    levels = (
+        [(res.grid.n_nodes, res.E_ground)]
+        if ref is None
+        else [(lv.n_nodes, lv.energy) for lv in ref.levels]
+    )
     report = {
         "version": "oracle-v1",
         "config_hash": config_hash(cfg),
         "E_ground": res.E_ground,
-        "levels": [
-            {"n_nodes": lv.n_nodes, "E": lv.energy} for lv in res.refinement.levels
-        ],
-        "error_estimate": res.refinement.error_estimate,
+        "levels": [{"n_nodes": nodes, "E": e} for nodes, e in levels],
+        "error_estimate": None if ref is None else ref.error_estimate,
     }
     if args.format == "json":
         _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
         return EXIT_OK
     lines = [f"oracle ground energy: {_fmt(res.E_ground)}"]
-    for lv in res.refinement.levels:
-        lines.append(f"  {lv.n_nodes:>8} nodes -> E = {_fmt(lv.energy)}")
-    lines.append(
-        f"  Richardson error estimate ~ {res.refinement.error_estimate:.3e}"
-    )
+    for nodes, e in levels:
+        lines.append(f"  {nodes:>8} nodes -> E = {_fmt(e)}")
+    if ref is not None:
+        lines.append(f"  Richardson error estimate ~ {ref.error_estimate:.3e}")
     lines.append("")
     _emit("\n".join(lines), args.out)
     return EXIT_OK

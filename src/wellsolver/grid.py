@@ -264,25 +264,37 @@ def _segment_values(f: Samples, i0: int, i1: int) -> Array:
     return vals
 
 
+def _pair_increments(vals: Array, h: float) -> Array:
+    """Half-pair increments of uniformly spaced values (length ``size - 1``).
+
+    ``vals`` holds an odd number of nodes at spacing ``h``. Each Simpson
+    pair (x_a, x_b, x_c) is split into the two parabolic half-rules
+    (h/12)(5f_a + 8f_b - f_c) and (h/12)(-f_a + 8f_b + 5f_c); their sum is
+    the Simpson pair rule, and each half is exact for quadratics, which is
+    what makes left/right cumulatives and the total integral mutually
+    consistent. The raw-array primitive behind :func:`panel_increments`
+    and the iteration engine's scaled scans.
+    """
+    a = vals[0:-2:2]
+    b = vals[1:-1:2]
+    c = vals[2::2]
+    out = np.empty(vals.size - 1)
+    out[0::2] = (h / 12.0) * (5.0 * a + 8.0 * b - c)
+    out[1::2] = (h / 12.0) * (-a + 8.0 * b + 5.0 * c)
+    return out
+
+
 def panel_increments(f: Samples) -> Array:
     """Per-panel integrals of ``f`` (length ``n_nodes - 1``).
 
-    Each Simpson pair (x_a, x_b, x_c) is split into the two parabolic
-    half-rules (h/12)(5f_a + 8f_b - f_c) and (h/12)(-f_a + 8f_b + 5f_c);
-    their sum is the Simpson pair rule, and each half is exact for
-    quadratics, which is what makes left/right cumulatives and the total
-    integral mutually consistent.
+    Segment by segment, with each segment's one-sided jump values, via
+    the half-pair rules of :func:`_pair_increments`.
     """
     if f.kind != "plain":
         raise ValueError("quadrature needs plain samples")
     out = np.empty(f.grid.n_nodes - 1)
     for i0, i1, h in f.grid.segments:
-        vals = _segment_values(f, i0, i1)
-        a = vals[0:-2:2]
-        b = vals[1:-1:2]
-        c = vals[2::2]
-        out[i0:i1:2] = (h / 12.0) * (5.0 * a + 8.0 * b - c)
-        out[i0 + 1 : i1 : 2] = (h / 12.0) * (-a + 8.0 * b + 5.0 * c)
+        out[i0:i1] = _pair_increments(_segment_values(f, i0, i1), h)
     return out
 
 

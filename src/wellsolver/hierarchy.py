@@ -20,7 +20,10 @@ evaluated literally. The engine instead scans the charge density once
 from each end, switching at the node where w - shift_n changes sign, so
 every partial integral is single-signed and carried relative to the local
 log-amplitude; no intermediate ever overflows, underflows, or cancels
-catastrophically. See ``_scan_ratio``.
+catastrophically. Everything those scans and the brackets need that
+depends only on phi, the grid and w's jump nodes (the block partition,
+the per-block scale factors, the bracket weights) is built once per run
+into a ``_Plan``; each iteration runs on raw arrays from it.
 
 Two-stage full-line pipeline: solve the two half-line problems
 independently (Case A), glue chi = phi * f at the origin, and iterate on
@@ -32,12 +35,21 @@ engine (the anchor on the step-free side plays Case A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
-from typing import Literal, Sequence
+from math import exp, isfinite
+from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .grid import Grid, Samples, bracket, concat_grids, cumulative_from, mirror_grid
+from .grid import (
+    Grid,
+    Samples,
+    _pair_increments,
+    bracket,
+    concat_grids,
+    cumulative_from,
+    integrate,
+    mirror_grid,
+)
 from .trialgen import TrialFunction
 
 __all__ = [
@@ -89,12 +101,15 @@ class IterateOptions:
 
 @dataclass(frozen=True, eq=False)
 class IterationState:
-    """One step of the recursion: shift, displacement field, and ratio."""
+    """One step of the recursion: shift, energy, ratio and charge brackets.
+
+    ``bracket_wf`` and ``bracket_f`` are [w f_{n-1}] and [f_{n-1}];
+    ``charge_total`` is what remains of [(w - shift_n) f_{n-1}].
+    """
 
     n: int
     f: Samples
     E_shift: float
-    D: Samples
     E_n: float
     charge_total: float = 0.0
     bracket_wf: float = 0.0
@@ -118,7 +133,9 @@ class IterationTrace:
     converged: bool
     E_limit: float | None
     f_limit: Samples | None
-    stop_reason: Literal["tolerance", "max_iter", "positivity_violation"]
+    stop_reason: Literal[
+        "tolerance", "max_iter", "positivity_violation", "nonfinite"
+    ]
     E0: float
     anchor: Anchor
     label: str = ""
@@ -275,95 +292,27 @@ def f_update_caseB(D: Samples, phi_sq: Samples) -> Samples:
     return f
 
 
-def _pair_increments(vals: np.ndarray, h: float) -> np.ndarray:
-    """Interleaved half-pair parabolic increments, matching quadrature."""
-    a = vals[0:-2:2]
-    b = vals[1:-1:2]
-    c = vals[2::2]
-    out = np.empty(vals.size - 1)
-    out[0::2] = (h / 12.0) * (5.0 * a + 8.0 * b - c)
-    out[1::2] = (h / 12.0) * (-a + 8.0 * b + 5.0 * c)
-    return out
-
-
 def _segment_blocks(L_seg: np.ndarray) -> list[tuple[int, int]]:
-    """Split a segment's nodes into pair-aligned blocks of bounded L range."""
+    """Split a segment's nodes into pair-aligned blocks of bounded L range.
+
+    Greedy from the left: each block ends at the first pair boundary where
+    its running L range (in 2L units) exceeds ``_BLOCK_LOG_RANGE``.
+    """
     n = L_seg.size - 1  # panels, even
     if 2.0 * (float(np.max(L_seg)) - float(np.min(L_seg))) <= _BLOCK_LOG_RANGE:
         return [(0, n)]
     blocks: list[tuple[int, int]] = []
     start = 0
-    lo = hi = L_seg[0]
-    for p in range(0, n, 2):
-        lo = min(lo, L_seg[p + 1], L_seg[p + 2])
-        hi = max(hi, L_seg[p + 1], L_seg[p + 2])
-        if 2.0 * (hi - lo) > _BLOCK_LOG_RANGE and p + 2 - start >= 2:
-            blocks.append((start, p + 2))
-            start = p + 2
-            lo = hi = L_seg[p + 2]
-    if start < n:
-        blocks.append((start, n))
+    while start < n:
+        tail = L_seg[start:]
+        hi = np.maximum.accumulate(tail)[2::2]
+        lo = np.minimum.accumulate(tail)[2::2]
+        with np.errstate(invalid="ignore"):
+            (over,) = np.nonzero(2.0 * (hi - lo) > _BLOCK_LOG_RANGE)
+        end = start + 2 * (int(over[0]) + 1) if over.size else n
+        blocks.append((start, end))
+        start = end
     return blocks
-
-
-def _scan_ratio(
-    grid: Grid,
-    L: np.ndarray,
-    q: Samples,
-    side: Anchor,
-) -> np.ndarray:
-    """Scaled one-sided cumulative of sigma = e^{2L} q, as a ratio to e^{2L}.
-
-    side="left":  R[j] = e^{-2L_j} * integral_{x_min}^{x_j} sigma
-    side="right": R[j] = -e^{-2L_j} * integral_{x_j}^{x_max} sigma
-
-    Every partial sum is carried relative to the running block's maximum
-    log-amplitude, so the result is forward-stable even where e^{2L}
-    under- or overflows. Walls with L = -inf contribute zero exactly
-    (their e^{2(L - M)} factor vanishes; no inf - inf is ever formed).
-    """
-    R = np.zeros(grid.n_nodes)
-    segments = grid.segments if side == "left" else tuple(reversed(grid.segments))
-    carry_node: int | None = None
-    for i0, i1, h in segments:
-        vals = q.values[i0 : i1 + 1].copy()
-        jump0 = q.jumps.get(i0)
-        if jump0 is not None:
-            vals[0] = jump0[1]
-        jump1 = q.jumps.get(i1)
-        if jump1 is not None:
-            vals[-1] = jump1[0]
-        L_seg = L[i0 : i1 + 1]
-        blocks = _segment_blocks(L_seg)
-        if side == "right":
-            blocks = list(reversed(blocks))
-        for b0, b1 in blocks:
-            sl = slice(b0, b1 + 1)
-            M = float(np.max(L_seg[sl]))
-            with np.errstate(under="ignore", over="ignore"):
-                damp = np.exp(2.0 * (L_seg[sl] - M))
-                u = vals[sl] * damp
-                u[damp == 0.0] = 0.0  # covers q = +-inf walls paired with L = -inf
-                inc = _pair_increments(u, h)
-                grow = np.exp(2.0 * (M - L_seg[sl]))
-                # at a hard-wall zero (L = -inf) the charge integral vanishes
-                # one order faster than phi^2, so the ratio's limit is 0
-                grow[np.isinf(grow)] = 0.0
-                if side == "left":
-                    j_edge = i0 + b0
-                    edge = 0.0 if carry_node is None else R[j_edge]
-                    carry = edge * exp(2.0 * (L[j_edge] - M)) if edge else 0.0
-                    csum = np.concatenate(((0.0,), np.cumsum(inc)))
-                    R[j_edge : i0 + b1 + 1] = (carry + csum) * grow
-                    carry_node = i0 + b1
-                else:
-                    j_edge = i0 + b1
-                    edge = 0.0 if carry_node is None else R[j_edge]
-                    carry = -edge * exp(2.0 * (L[j_edge] - M)) if edge else 0.0
-                    rsum = np.concatenate((np.cumsum(inc[::-1])[::-1], (0.0,)))
-                    R[i0 + b0 : j_edge + 1] = -(carry + rsum) * grow
-                    carry_node = i0 + b0
-    return R
 
 
 def _left_applied(q: Samples) -> np.ndarray:
@@ -373,21 +322,192 @@ def _left_applied(q: Samples) -> np.ndarray:
     return vals
 
 
-def _stitched_ratio(grid: Grid, L: np.ndarray, q: Samples) -> np.ndarray:
-    """Ratio R = phi^{-2} D with the scan switch at the charge sign change.
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """Run-invariant factors of one scan block, nodes j0..j1 of a segment.
 
-    Left of the switch the charge density is nonnegative, right of it
-    nonpositive (w decreasing), so each scan accumulates a single-signed
-    integrand and the ratio never suffers cancellation. R is exactly 0 at
-    both domain ends by construction; the two scans' agreement at the
-    switch node is the numerical zero-total-charge statement.
+    Partial sums inside the block are carried relative to its maximum
+    log-amplitude M: ``damp`` = e^{2(L - M)} scales the charge density
+    down, ``grow`` = e^{2(M - L)} turns the scaled cumulative back into a
+    ratio (0 at a hard-wall zero, where the charge integral vanishes one
+    order faster than phi^2), and ``carry_left``/``carry_right`` =
+    e^{2(L[edge] - M)} rescale the ratio handed over at the block edge a
+    scan enters through. ``zeros`` masks the nodes where ``damp`` is 0
+    (None if there are none). ``jump_first``/``jump_last`` flag a segment
+    edge where the integrand's one-sided jump value replaces the node value.
     """
-    positive = _left_applied(q) > 0.0
-    m = int(np.nonzero(positive)[0][-1]) if positive.any() else 0
-    R = _scan_ratio(grid, L, q, "right")
-    if m > 0:
-        R[: m + 1] = _scan_ratio(grid, L, q, "left")[: m + 1]
-    return R
+
+    j0: int
+    j1: int
+    h: float
+    damp: np.ndarray
+    grow: np.ndarray
+    zeros: np.ndarray | None
+    carry_left: float
+    carry_right: float
+    jump_first: bool
+    jump_last: bool
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """Everything a run's iterations share: blocks and bracket weights.
+
+    Depends only on the trial's log-amplitude L, the grid and the jump
+    nodes of w; built once per run by :func:`_make_plan`.
+    """
+
+    grid: Grid
+    blocks: tuple[_Block, ...]
+    w: np.ndarray
+    w_jumps: Mapping[int, tuple[float, float]]
+    ref: float
+    weight: np.ndarray
+    jump_weight: Mapping[int, float]
+    scale: float
+
+    def bracket(
+        self, vals: np.ndarray, jumps: Mapping[int, tuple[float, float]]
+    ) -> float:
+        """[F] = integral of e^{2L} F, rescaled by e^{2 ref} as ``grid.bracket``."""
+        if self.ref == -np.inf:
+            return 0.0
+        jw = self.jump_weight
+        weighted = Samples(
+            self.grid,
+            vals * self.weight,
+            jumps={j: (lo * jw[j], hi * jw[j]) for j, (lo, hi) in jumps.items()},
+        )
+        return self.scale * integrate(weighted)
+
+    def scan_left(
+        self,
+        q: np.ndarray,
+        jumps: Mapping[int, tuple[float, float]],
+        R: np.ndarray,
+        stop: int,
+    ) -> None:
+        """R[:stop + 1] = e^{-2L} * integral from x_min of e^{2L} q.
+
+        Every partial sum is carried relative to its block's maximum
+        log-amplitude, so the result is forward-stable even where e^{2L}
+        under- or overflows. Walls with L = -inf contribute zero exactly
+        (their damp factor vanishes; no inf - inf is ever formed).
+        """
+        edge = None
+        for b in self.blocks:
+            if b.j0 > stop:
+                break
+            k = min(b.j1, stop) - b.j0  # panels needed from this block
+            n = k + (k & 1)  # rounded up to whole Simpson pairs
+            damp = b.damp[: n + 1]
+            u = q[b.j0 : b.j0 + n + 1] * damp
+            if b.jump_first:
+                u[0] = jumps[b.j0][1] * damp[0]
+            if b.jump_last and n == b.j1 - b.j0:
+                u[-1] = jumps[b.j1][0] * damp[-1]
+            if b.zeros is not None:
+                u[b.zeros[: n + 1]] = 0.0  # covers q = +-inf walls paired with L = -inf
+            csum = np.concatenate(((0.0,), np.cumsum(_pair_increments(u, b.h))))
+            carry = edge * b.carry_left if edge else 0.0
+            R[b.j0 : b.j0 + k + 1] = (carry + csum[: k + 1]) * b.grow[: k + 1]
+            edge = R[b.j1] if b.j1 <= stop else None
+
+    def scan_right(
+        self,
+        q: np.ndarray,
+        jumps: Mapping[int, tuple[float, float]],
+        R: np.ndarray,
+        start: int,
+    ) -> None:
+        """R[start:] = -e^{-2L} * integral to x_max of e^{2L} q; see scan_left."""
+        edge = None
+        for b in reversed(self.blocks):
+            if b.j1 < start:
+                break
+            s = max(b.j0, start) - b.j0  # first node needed from this block
+            s2 = s - (s & 1)  # rounded down to whole Simpson pairs
+            damp = b.damp[s2:]
+            u = q[b.j0 + s2 : b.j1 + 1] * damp
+            if b.jump_first and s2 == 0:
+                u[0] = jumps[b.j0][1] * damp[0]
+            if b.jump_last:
+                u[-1] = jumps[b.j1][0] * damp[-1]
+            if b.zeros is not None:
+                u[b.zeros[s2:]] = 0.0
+            inc = _pair_increments(u, b.h)
+            rsum = np.concatenate((np.cumsum(inc[::-1])[::-1], (0.0,)))
+            carry = -edge * b.carry_right if edge else 0.0
+            R[b.j0 + s : b.j1 + 1] = -(carry + rsum[s - s2 :]) * b.grow[s:]
+            edge = R[b.j0] if b.j0 >= start else None
+
+    def ratio(
+        self, q: np.ndarray, jumps: Mapping[int, tuple[float, float]]
+    ) -> np.ndarray:
+        """Ratio R = phi^{-2} D with the scan switch at the charge sign change.
+
+        Left of the switch the charge density is nonnegative, right of it
+        nonpositive (w decreasing), so each scan accumulates a
+        single-signed integrand and the ratio never suffers cancellation.
+        Each scan runs only over its own side of the switch node. R is
+        exactly 0 at both domain ends by construction; the two scans'
+        agreement at the switch node is the numerical zero-total-charge
+        statement.
+        """
+        positive = q > 0.0
+        for j, (lo, _hi) in jumps.items():
+            positive[j] = lo > 0.0
+        (idx,) = np.nonzero(positive)
+        m = int(idx[-1]) if idx.size else 0
+        R = np.empty(q.size)
+        self.scan_right(q, jumps, R, m + 1 if m > 0 else 0)
+        if m > 0:
+            self.scan_left(q, jumps, R, m)
+        return R
+
+
+def _make_plan(trial: TrialFunction) -> _Plan:
+    """Hoist the run-invariant scan and bracket factors out of the loop."""
+    grid = trial.grid
+    L = trial.log_phi.values
+    w = trial.w
+    blocks = []
+    for i0, i1, h in grid.segments:
+        L_seg = L[i0 : i1 + 1]
+        n_seg = i1 - i0
+        for b0, b1 in _segment_blocks(L_seg):
+            L_blk = L_seg[b0 : b1 + 1]
+            M = float(np.max(L_blk))
+            with np.errstate(under="ignore", over="ignore"):
+                damp = np.exp(2.0 * (L_blk - M))
+                grow = np.exp(2.0 * (M - L_blk))
+            grow[np.isinf(grow)] = 0.0
+            zeros = damp == 0.0
+            blocks.append(
+                _Block(
+                    j0=i0 + b0,
+                    j1=i0 + b1,
+                    h=h,
+                    damp=damp,
+                    grow=grow,
+                    zeros=zeros if zeros.any() else None,
+                    carry_left=exp(2.0 * (L[i0 + b0] - M)),
+                    carry_right=exp(2.0 * (L[i0 + b1] - M)),
+                    jump_first=b0 == 0 and i0 in w.jumps,
+                    jump_last=b1 == n_seg and i1 in w.jumps,
+                )
+            )
+    ref = float(np.max(L))
+    return _Plan(
+        grid=grid,
+        blocks=tuple(blocks),
+        w=w.values,
+        w_jumps=w.jumps,
+        ref=ref,
+        weight=np.exp(2.0 * (L - ref)),
+        jump_weight={j: float(np.exp(2.0 * (L[j] - ref))) for j in w.jumps},
+        scale=float(np.exp(2.0 * ref)),
+    )
 
 
 def _monotone_direction(w: Samples) -> Literal["dec", "inc", "flat", "none"]:
@@ -405,6 +525,23 @@ def _monotone_direction(w: Samples) -> Literal["dec", "inc", "flat", "none"]:
     return "none"
 
 
+def _step(
+    plan: _Plan, fv: np.ndarray, anchor: Anchor
+) -> tuple[float, float, float, np.ndarray]:
+    """One iteration on raw arrays: [w f], [f], the shift and the new f."""
+    wf_jumps = {j: (lo * fv[j], hi * fv[j]) for j, (lo, hi) in plan.w_jumps.items()}
+    num = plan.bracket(plan.w * fv, wf_jumps)
+    den = plan.bracket(fv, {})
+    shift = 0.0 if num == 0.0 else num / den
+    q_jumps = {
+        j: ((lo - shift) * fv[j], (hi - shift) * fv[j])
+        for j, (lo, hi) in plan.w_jumps.items()
+    }
+    R = plan.ratio((plan.w - shift) * fv, q_jumps)
+    f_new = 1.0 - 2.0 * cumulative_from(Samples(plan.grid, R), anchor).values
+    return num, den, shift, f_new
+
+
 def _run_engine(
     trial: TrialFunction,
     case: Case,
@@ -413,51 +550,38 @@ def _run_engine(
     enforce_positivity: bool,
 ) -> IterationTrace:
     grid = trial.grid
-    L = trial.log_phi.values
     w = trial.w
     if _monotone_direction(w) == "none":
         raise ValueError("engine needs a monotone perturbation on its domain")
     tol_e_abs = opts.tol_e * abs(trial.E0)
+    plan = _make_plan(trial)
 
     f = Samples(grid, np.ones(grid.n_nodes))
-    states = [
-        IterationState(
-            n=0,
-            f=f,
-            E_shift=0.0,
-            D=Samples(grid, np.zeros(grid.n_nodes)),
-            E_n=trial.E0,
-        )
-    ]
+    states = [IterationState(n=0, f=f, E_shift=0.0, E_n=trial.E0)]
     converged = False
     stop_reason: str = "max_iter"
     for n in range(1, opts.max_iter + 1):
-        num = bracket(_product_samples(w, f.values), trial.log_phi)
-        den = bracket(f, trial.log_phi)
-        shift = 0.0 if num == 0.0 else num / den
-        q = _product_samples(_shifted_samples(w, shift), f.values)
-        R = _stitched_ratio(grid, L, q)
-        if anchor == "right":
-            f_new = 1.0 - 2.0 * cumulative_from(Samples(grid, R), "right").values
-        else:
-            f_new = 1.0 - 2.0 * cumulative_from(Samples(grid, R), "left").values
-        with np.errstate(under="ignore"):
-            D_vals = R * np.exp(2.0 * L)
+        fv = f.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            # overflow or NaN here ends the run as "nonfinite" below
+            num, den, shift, f_new = _step(plan, fv, anchor)
         d_shift = abs(shift - states[-1].E_shift)
-        d_f = float(np.max(np.abs(f_new - f.values)))
+        d_f = float(np.max(np.abs(f_new - fv)))
         f = Samples(grid, f_new)
         states.append(
             IterationState(
                 n=n,
                 f=f,
                 E_shift=shift,
-                D=Samples(grid, D_vals),
                 E_n=trial.E0 - shift,
                 charge_total=num - shift * den,
                 bracket_wf=num,
                 bracket_f=den,
             )
         )
+        if not (isfinite(shift) and isfinite(d_f)):
+            stop_reason = "nonfinite"
+            break
         if enforce_positivity and np.any(f_new <= 0.0):
             stop_reason = "positivity_violation"
             break

@@ -157,6 +157,45 @@ def test_two_level_has_no_iteration(capsys):
     assert "twolevel" in err
 
 
+@pytest.mark.parametrize(
+    "g, density", [("2", "25"), ("8", "25"), ("32", "25"), ("1e6", "400")]
+)
+def test_nonfinite_run_has_its_own_exit_code(tmp_path, capsys, g, density):
+    path = tmp_path / "t.csv"
+    rc, _out, err = run(
+        ["solve", "sym_quartic", "--g", g, "--grid-density", density,
+         "--out", str(path)],
+        capsys,
+    )
+    assert rc == cli.EXIT_NONFINITE
+    assert err.strip().splitlines() == [
+        "stopped: non-finite shift or ratio (grid too coarse for this problem?)"
+    ]
+    # the trace is still written, and it ends long before the cap of 64
+    doc = cli.read_trace(path.read_text())
+    assert doc["stop_reason"] == "nonfinite"
+    assert len(doc["rows"]) - 1 <= 16
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["solve", "sym_quartic", "--g", "2", "--grid-density", "inf"],
+         "density"),
+        (["solve", "sym_quartic", "--g", "2", "--x-max", "inf"], "x_max"),
+        (["solve", "sym_quartic", "--g", "inf"], "finite"),
+        (["oracle", "sym_quartic", "--g", "2", "--grid-density", "150",
+          "--levels", "0"], "levels"),
+    ],
+)
+def test_non_finite_or_empty_flags_are_config_errors(capsys, argv, reason):
+    rc, out, err = run(argv, capsys)
+    assert rc == cli.EXIT_CONFIG
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error:") and reason in err
+
+
 def test_unknown_verb_is_config_error():
     assert cli.main(["frobnicate"]) == cli.EXIT_CONFIG
 
@@ -187,6 +226,46 @@ def test_oracle_verb_prints_estimate(capsys):
                   if "=" in out.splitlines()[0]
                   else out.splitlines()[0].split()[-1])
     assert value == pytest.approx(1.40095727, abs=1e-5)
+
+
+def test_oracle_single_level_has_no_richardson_lines(capsys):
+    rc, out, _err = run(
+        ["oracle", "sym_quartic", "--g", "2", "--grid-density", "150",
+         "--levels", "1"],
+        capsys,
+    )
+    assert rc == cli.EXIT_OK
+    lines = out.splitlines()
+    energy = float(lines[0].split(":")[1])
+    assert lines[1].split()[-1] == lines[0].split()[-1]
+    assert len(lines) == 2 and "Richardson" not in out
+    # the raw eigenvalue at this density is within 1e-3 of the limit
+    assert energy == pytest.approx(1.40095727, abs=1e-3)
+    rc, out, _err = run(
+        ["oracle", "sym_quartic", "--g", "2", "--grid-density", "150",
+         "--levels", "1", "--format", "json"],
+        capsys,
+    )
+    doc = json.loads(out)
+    assert rc == cli.EXIT_OK
+    assert doc["error_estimate"] is None
+    assert [lv["E"] for lv in doc["levels"]] == [doc["E_ground"]]
+
+
+def test_squarewell_verb_exit_code_follows_engine_stop(tmp_path, capsys):
+    path = tmp_path / "sw.json"
+    rc, _out, err = run(
+        ["squarewell", "--w", "3", "--mu", "0.7071067811865476",
+         "--alpha", "1", "--beta", "2", "--grid-density", "200",
+         "--max-iter", "2", "--format", "json", "--out", str(path)],
+        capsys,
+    )
+    assert rc == cli.EXIT_MAX_ITER
+    assert "iteration cap" in err
+    # the report is written all the same
+    report = json.loads(path.read_text())
+    assert report["engine_stop_reason"] == "max_iter"
+    assert report["engine_iterations"] == 2
 
 
 def test_squarewell_verb_compares_routes(capsys):

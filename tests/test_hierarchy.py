@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wellsolver as ws
+from wellsolver import hierarchy
 
 CAPPED = ws.IterateOptions(max_iter=6, tol_e=0.0, tol_f=0.0)
 
@@ -152,6 +153,208 @@ def test_case_b_stops_on_positivity_when_w_is_huge():
     tr = ws.iterate(dataclasses.replace(t, w=big), "B", CAPPED)
     assert tr.stop_reason == "positivity_violation"
     assert not tr.converged
+
+
+@pytest.mark.parametrize(
+    "g, density, n_max",
+    [(2.0, 25.0, 9), (8.0, 25.0, 13), (32.0, 25.0, 11), (1e6, 400.0, 2)],
+)
+def test_too_coarse_grid_stops_on_nonfinite(g, density, n_max):
+    # the shift or the ratio overflows to inf/NaN within a few iterations;
+    # the run must stop there instead of iterating on NaN to max_iter
+    t = ws.build_symmetric_quartic_trial(g, ws.quartic_grid(g, density))
+    with np.errstate(all="ignore"):
+        tr = ws.iterate(t, "A")
+    assert tr.stop_reason == "nonfinite"
+    assert not tr.converged and tr.E_limit is None
+    assert len(tr.states) - 1 == n_max
+    last = tr.states[-1]
+    assert not (
+        math.isfinite(last.E_shift) and np.all(np.isfinite(last.f.values))
+    )
+    assert all(math.isfinite(s.E_shift) for s in tr.states[:-1])
+
+
+# ---------------------------------------------------------------------------
+# the per-run plan: energies pinned to the engine it replaced
+
+# E_n of the per-iteration scan engine, which rebuilt the block partition
+# and the scale factors on every step and scanned the whole grid from both
+# ends; the plan must reproduce them.
+PINNED_SYM_G2_D400 = {
+    "A": (
+        2.0, 1.4484022955818205, 1.4149647965424341, 1.4045439303021077,
+        1.4018546184053524, 1.4011827756519508, 1.4010140253824446,
+        1.4009715511582181, 1.4009608606964843, 1.4009581700959144,
+        1.400957492911486, 1.4009573224733955, 1.4009572795764393,
+        1.4009572687798584, 1.4009572660625045, 1.400957265378585,
+        1.4009572652064504,
+    ),
+    "B": (
+        2.0, 1.4484022955818205, 1.391295976529041, 1.402463277922985,
+        1.400714608633808, 1.400996263431586, 1.4009509918381233,
+        1.4009582742570146, 1.400957102820445, 1.4009572912611739,
+        1.4009572609479886, 1.4009572658242717, 1.4009572650398554,
+        1.40095726516604,
+    ),
+}
+PINNED_README_WELL = (
+    1.1363098122015172, 1.002056458355405, 0.8990410677495794,
+    0.8972179229298427, 0.8969921403774946, 0.8969664966879942,
+    0.8969642562221909, 0.8969640741206397, 0.8969640584776205,
+    0.8969640571020447, 0.8969640569826324, 0.8969640569723356,
+    0.8969640569714455, 0.8969640569713668,
+)
+
+
+def _switch_node(w, shift):
+    """Last node where w - shift > 0 (left-side value at a jump)."""
+    vals = w.values.copy()
+    for j, (lo, _hi) in w.jumps.items():
+        vals[j] = lo
+    return int(np.nonzero(vals > shift)[0][-1])
+
+
+@pytest.fixture(scope="module")
+def sym_g2_trial():
+    return ws.build_symmetric_quartic_trial(2.0, ws.quartic_grid(2.0, 400.0))
+
+
+@pytest.mark.parametrize("case", ["A", "B"])
+def test_planned_engine_reproduces_pinned_energies(sym_g2_trial, case):
+    tr = ws.iterate(sym_g2_trial, case)
+    assert tr.stop_reason == "tolerance"
+    np.testing.assert_allclose(
+        tr.energies, PINNED_SYM_G2_D400[case], rtol=1e-13, atol=0.0
+    )
+
+
+def test_planned_engine_reproduces_readme_well(moderate_model, moderate_grid):
+    tr = ws.iterate_squarewell(moderate_model, moderate_grid)
+    assert tr.stop_reason == "tolerance"
+    np.testing.assert_allclose(
+        tr.energies, PINNED_README_WELL, rtol=1e-13, atol=0.0
+    )
+
+
+def test_plan_blocks_carry_across_the_switch(
+    sym_g2_trial, moderate_model, moderate_grid
+):
+    # g = 2 spans more log-amplitude than one block may hold: its right
+    # scan hands a carry from block to block before reaching the switch
+    plan = hierarchy._make_plan(sym_g2_trial)
+    assert len(plan.blocks) > 1
+    shift = ws.iterate(sym_g2_trial, "A").states[-1].E_shift
+    m = _switch_node(sym_g2_trial.w, shift)
+    assert sum(b.j1 > m for b in plan.blocks) > 1
+    # the README well's hard walls split off blocks of their own, so its
+    # left scan carries across blocks (and over the jump at the origin)
+    problem = ws.build_squarewell_problem(moderate_model, moderate_grid)
+    plan = hierarchy._make_plan(problem.chi)
+    shift = ws.iterate_squarewell(moderate_model, moderate_grid).states[-1].E_shift
+    m = _switch_node(problem.chi.w, shift)
+    assert sum(b.j0 <= m for b in plan.blocks) > 1
+    # blocks tile the grid, sharing their edge nodes
+    assert plan.blocks[0].j0 == 0
+    assert plan.blocks[-1].j1 == moderate_grid.n_nodes - 1
+    assert all(a.j1 == b.j0 for a, b in zip(plan.blocks, plan.blocks[1:]))
+
+
+@pytest.mark.parametrize("shift", [0.3, 0.6, 0.9])
+def test_plan_ratio_matches_plain_cumulatives(shift):
+    # e^{2L} spans 1e-283..1, still representable, so the literal
+    # cumulative of sigma = e^{2L} q divided by e^{2L} is accurate on each
+    # side of the switch. phi peaks at w's jump, so the one-sided jump
+    # values weigh in, and each segment holds three blocks. Shift 0.3 puts
+    # the switch right of the jump (the left scan crosses it), 0.6 on it
+    # (the left value decides), 0.9 left of it (the right scan crosses it).
+    grid = ws.make_grid((0.0, 1.0), 200.0, breakpoints=(0.5,))
+    x = grid.nodes
+    j = grid.index_of(0.5)
+    L = -1300.0 * (x - 0.5) ** 2 + 0.3 * np.sin(7.0 * x)
+    w_vals = 1.0 - x + np.where(x < 0.5, 0.3, 0.0)
+    w_vals[j] = 0.55  # neither side: only the one-sided values may count
+    w = ws.Samples(grid, w_vals, jumps={j: (0.8, 0.5)})
+    trial = ws.TrialFunction(
+        grid=grid,
+        log_phi=ws.Samples(grid, L, kind="log_amplitude"),
+        w=w,
+        E0=1.0,
+        V=ws.Samples(grid, np.zeros_like(x)),
+        domain_kind="half_line_even",
+        w_monotone_dir="decreasing_for_x_positive",
+    )
+    plan = hierarchy._make_plan(trial)
+    assert sum(b.j1 <= j for b in plan.blocks) == 3
+    f = 1.0 + 0.1 * x
+    q = ws.Samples(
+        grid,
+        (w.values - shift) * f,
+        jumps={j: ((0.8 - shift) * f[j], (0.5 - shift) * f[j])},
+    )
+    R = plan.ratio(q.values, q.jumps)
+
+    scale = np.exp(2.0 * L)
+    sigma = ws.Samples(
+        grid,
+        q.values * scale,
+        jumps={j: (q.jumps[j][0] * scale[j], q.jumps[j][1] * scale[j])},
+    )
+    m = _switch_node(w, shift)
+    assert (m > j, m == j, m < j) == (shift < 0.5, 0.5 < shift < 0.8, shift > 0.8)
+    plain = np.concatenate(
+        (
+            ws.cumulative_from(sigma, "left").values[: m + 1],
+            ws.cumulative_from(sigma, "right").values[m + 1 :],
+        )
+    ) / scale
+    assert R[0] == 0.0 and R[-1] == 0.0
+    np.testing.assert_allclose(R, plain, rtol=1e-13, atol=0.0)
+
+
+def _greedy_blocks_loop(L_seg):
+    """Pair-by-pair form of the block partition, the vectorized one's reference."""
+    cap = hierarchy._BLOCK_LOG_RANGE
+    n = L_seg.size - 1
+    if 2.0 * (float(np.max(L_seg)) - float(np.min(L_seg))) <= cap:
+        return [(0, n)]
+    blocks = []
+    start = 0
+    lo = hi = L_seg[0]
+    for p in range(0, n, 2):
+        lo = min(lo, L_seg[p + 1], L_seg[p + 2])
+        hi = max(hi, L_seg[p + 1], L_seg[p + 2])
+        if 2.0 * (hi - lo) > cap:
+            blocks.append((start, p + 2))
+            start = p + 2
+            lo = hi = L_seg[p + 2]
+    if start < n:
+        blocks.append((start, n))
+    return blocks
+
+
+@given(
+    steps=st.lists(
+        st.floats(min_value=-250.0, max_value=250.0), min_size=2, max_size=80
+    ),
+    walls=st.sampled_from(["none", "left", "right", "both"]),
+)
+@settings(max_examples=300)
+def test_block_partition_matches_pairwise_loop(steps, walls):
+    L = np.concatenate(([0.0], np.cumsum(steps)))
+    if L.size % 2 == 0:
+        L = L[:-1]
+    if walls in ("left", "both"):
+        L[0] = -np.inf
+    if walls in ("right", "both"):
+        L[-1] = -np.inf
+    with np.errstate(invalid="ignore"):
+        assert hierarchy._segment_blocks(L) == _greedy_blocks_loop(L)
+
+
+def test_iteration_states_keep_no_displacement_field(sym_g2_trial):
+    tr = ws.iterate(sym_g2_trial, "A", CAPPED)
+    assert "D" not in {f.name for f in dataclasses.fields(tr.states[-1])}
 
 
 # ---------------------------------------------------------------------------
