@@ -42,6 +42,7 @@ from .hierarchy import (
     ChargeBalanceError,
     FullLineProblem,
     HalfLinePair,
+    HalfLineStageError,
     IterateOptions,
     IterationState,
     IterationTrace,
@@ -129,6 +130,7 @@ __all__ = [
     "ChargeBalanceError",
     "FullLineProblem",
     "HalfLinePair",
+    "HalfLineStageError",
     "IterateOptions",
     "IterationState",
     "IterationTrace",

@@ -9,6 +9,12 @@ Exit codes, shared by every verb:
 * 4 - bad configuration, unusable input file, or I/O failure
 * 5 - the run produced a non-finite shift or ratio (grid too coarse for
   the problem); the trace up to that iteration is still written
+* 6 - the oracle's eigensolve failed, or returned a ground state that
+  changes sign (``oracle`` and ``squarewell``)
+
+An asym_quartic ``solve`` whose half-line stage stops unconverged exits
+with that stage's stop-reason code (2, 3 or 5) and writes no trace; a
+tilt its trial builder cannot support exits 4.
 
 Traces are CSV by default (``--format json`` for the same rows as JSON).
 The CSV starts with ``# trace-v1 config=<sha256>`` so a report can always
@@ -23,9 +29,7 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from math import inf, isfinite, sqrt
@@ -37,6 +41,7 @@ import numpy as np
 from .grid import Grid, Samples, make_grid
 from .hierarchy import (
     CertificationReport,
+    HalfLineStageError,
     IterateOptions,
     IterationTrace,
     PairVerdict,
@@ -47,7 +52,7 @@ from .hierarchy import (
     iterate_full_line,
     solve_half_line_pair,
 )
-from .oracle import fd_ground_state
+from .oracle import EigensolveError, fd_ground_state
 from .trialgen import (
     build_asymmetric_quartic_trial,
     build_harmonic_trial,
@@ -76,6 +81,7 @@ EXIT_POSITIVITY = 2
 EXIT_MAX_ITER = 3
 EXIT_CONFIG = 4
 EXIT_NONFINITE = 5
+EXIT_EIGENSOLVE = 6
 
 # Engine stop reasons other than "tolerance": exit code and stderr line.
 _STOP_EXITS = {
@@ -265,7 +271,10 @@ def run_problem(cfg: ExperimentConfig) -> IterationTrace:
         grid = quartic_grid(
             p["g"], cfg.grid.density, x_max=cfg.grid.x_max, full_line=True
         )
-        tplus, tminus = build_asymmetric_quartic_trial(p["g"], p["lam"], grid)
+        try:
+            tplus, tminus = build_asymmetric_quartic_trial(p["g"], p["lam"], grid)
+        except ValueError as exc:
+            raise ConfigError(f"asym_quartic trial unsupported: {exc}") from exc
         half = solve_half_line_pair(tplus, tminus, opts)
         problem = glue_full_line(half, tplus, tminus)
         boundary = _full_line_boundary(problem.step_side, cfg.case)
@@ -503,12 +512,16 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _stop_exit(stop_reason: str) -> int:
-    """Exit code for an engine stop reason, printing the reason if not 0."""
+def _stop_exit(stop_reason: str, who: str = "") -> int:
+    """Exit code for an engine stop reason, printing the reason if not 0.
+
+    ``who`` prefixes the reason line, naming the run that stopped when it
+    is not the one the verb reports on.
+    """
     if stop_reason not in _STOP_EXITS:
         return EXIT_OK
     code, reason = _STOP_EXITS[stop_reason]
-    print(reason, file=sys.stderr)
+    print(who + reason, file=sys.stderr)
     return code
 
 
@@ -522,6 +535,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except HalfLineStageError as exc:
+        return _stop_exit(exc.stop_reason, f"half-line stage '{exc.label}' ")
     try:
         _emit(write_trace(trace, cfg, args.format), args.out)
     except OSError as exc:
@@ -587,7 +602,11 @@ def cmd_squarewell(args: argparse.Namespace) -> int:
     trace = sw.iterate_squarewell(model, grid, opts=cfg.engine.options())
     E_engine = trace.states[-1].E_n
 
-    oracle = fd_ground_state(sw.potential_samples(model, grid), levels=2)
+    try:
+        oracle = fd_ground_state(sw.potential_samples(model, grid), levels=2)
+    except EigensolveError as exc:
+        print(f"oracle error: {exc}", file=sys.stderr)
+        return EXIT_EIGENSOLVE
 
     shift = sw.exact_shift(model, grid)
     tl = sw.two_level_from_model(model)
@@ -725,7 +744,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         V = sw.potential_samples(model, grid)
     else:
         V = Samples(grid, v_func(grid.nodes))
-    res = fd_ground_state(V, v_func=v_func, mirror_even=mirror, levels=args.levels)
+    try:
+        res = fd_ground_state(
+            V, v_func=v_func, mirror_even=mirror, levels=args.levels
+        )
+    except EigensolveError as exc:
+        print(f"oracle error: {exc}", file=sys.stderr)
+        return EXIT_EIGENSOLVE
     ref = res.refinement
     # a single level has no refinement study: its raw eigenvalue stands alone
     levels = (
@@ -868,16 +893,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    workers = os.environ.get("HIERARCHY_SOLVER_THREADS")
-    max_workers = max(1, int(workers)) if workers else min(8, os.cpu_count() or 1)
-    entries: list[dict[str, Any]] = []
-    if points:
-        with ThreadPoolExecutor(max_workers=min(max_workers, len(points))) as ex:
-            futures = [
-                ex.submit(_run_sweep_point, i, base, ov, outdir, args.format)
-                for i, ov in enumerate(points)
-            ]
-            entries = [f.result() for f in futures]
+    entries = [
+        _run_sweep_point(i, base, ov, outdir, args.format)
+        for i, ov in enumerate(points)
+    ]
     manifest = {
         "version": SWEEP_VERSION,
         "base": json.loads(json.dumps(base)),

@@ -62,6 +62,7 @@ __all__ = [
     "IterateOptions",
     "PositivityError",
     "ChargeBalanceError",
+    "HalfLineStageError",
     "energy_update",
     "displacement",
     "f_update_caseA",
@@ -88,6 +89,15 @@ class PositivityError(ValueError):
 
 class ChargeBalanceError(RuntimeError):
     """Accumulated charge failed to cancel; quadrature and shift disagree."""
+
+
+class HalfLineStageError(RuntimeError):
+    """A half-line stage of the full-line pipeline stopped unconverged."""
+
+    def __init__(self, label: str, stop_reason: str) -> None:
+        super().__init__(f"half-line stage '{label}' did not converge: {stop_reason}")
+        self.label = label
+        self.stop_reason = stop_reason
 
 
 @dataclass(frozen=True)
@@ -633,14 +643,16 @@ def solve_half_line_pair(
     tminus: TrialFunction,
     opts: IterateOptions = IterateOptions(),
 ) -> HalfLinePair:
-    """Converge both half-line problems under Case A and return the limits."""
+    """Converge both half-line problems under Case A and return the limits.
+
+    Raises HalfLineStageError, carrying the stage's stop reason, when either
+    stage ends without converging.
+    """
     out = []
     for t in (tplus, tminus):
         trace = iterate(t, "A", opts)
         if not trace.converged:
-            raise RuntimeError(
-                f"half-line stage '{t.label}' did not converge: {trace.stop_reason}"
-            )
+            raise HalfLineStageError(t.label, trace.stop_reason)
         out.append(trace)
     tr_p, tr_m = out
     return HalfLinePair(

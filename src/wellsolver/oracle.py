@@ -14,7 +14,14 @@ O(h^2) and one Richardson step across a grid refinement gives O(h^4).
 
 Eigenvalues come from Sturm-sequence bisection restricted to the requested
 indices, eigenvectors from inverse iteration (LAPACK stebz/stein through
-scipy's tridiagonal driver).
+scipy's tridiagonal driver). Only the coarsest level of
+``fd_ground_state`` needs its eigenvector; its refined levels and
+``fd_levels`` ask for eigenvalues only and skip stein.
+
+scipy.linalg is imported inside ``_lowest_pairs``, on the first
+eigensolve, not at module import: it is the slowest import in the
+package, and the engine verbs (solve, certify, sweep) import this module
+without ever solving an eigenproblem.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigh_tridiagonal
 
 from .grid import Grid, Samples, concat_grids, integrate, mirror_grid
 
@@ -114,18 +120,24 @@ def _tridiagonal(nodes: Array, v: Array) -> tuple[Array, Array, Array]:
     return d, e, m
 
 
-def _lowest_pairs(d: Array, e: Array, count: int) -> tuple[Array, Array]:
+def _lowest_pairs(
+    d: Array, e: Array, count: int, *, vectors: bool
+) -> tuple[Array, Array | None]:
+    """Lowest ``count`` eigenvalues, with eigenvectors when ``vectors``."""
+    from scipy.linalg import eigh_tridiagonal  # deferred: see module docstring
+
     if count < 1 or count > d.size:
         raise ValueError("eigenpair count out of range for this grid")
     try:
-        vals, vecs = eigh_tridiagonal(
-            d, e, select="i", select_range=(0, count - 1), lapack_driver="stebz"
+        out = eigh_tridiagonal(
+            d, e, eigvals_only=not vectors, select="i",
+            select_range=(0, count - 1), lapack_driver="stebz",
         )
     except np.linalg.LinAlgError as exc:
         raise EigensolveError(
-            f"inverse iteration failed on {d.size + 2}-node grid: {exc}"
+            f"tridiagonal eigensolve failed on {d.size + 2}-node grid: {exc}"
         ) from exc
-    return vals, vecs
+    return out if vectors else (out, None)
 
 
 def _ground_psi(grid: Grid, u: Array, m: Array) -> Samples:
@@ -225,9 +237,9 @@ def fd_ground_state(
     for lev in range(levels):
         g = cur.grid
         d, e, m = _tridiagonal(g.nodes, _node_values(cur))
-        vals, vecs = _lowest_pairs(d, e, 1)
+        vals, vecs = _lowest_pairs(d, e, 1, vectors=lev == 0)
         energy = float(vals[0])
-        if lev == 0:
+        if vecs is not None:
             psi = _ground_psi(g, vecs[:, 0], m)
         level_rows.append(RefinementLevel(factor, g.n_nodes, energy))
         if lev + 1 < levels:
@@ -264,5 +276,5 @@ def fd_levels(
     if mirror_even:
         V, _ = _mirror_even(V, None)
     d, e, _m = _tridiagonal(V.grid.nodes, _node_values(V))
-    vals, _ = _lowest_pairs(d, e, count)
+    vals, _ = _lowest_pairs(d, e, count, vectors=False)
     return np.asarray(vals, dtype=np.float64)

@@ -33,12 +33,14 @@ from functools import lru_cache
 from math import (
     atan2,
     atanh,
+    copysign,
     cos,
     cosh,
     exp,
     factorial,
     inf,
     isfinite,
+    isnan,
     log,
     log1p,
     pi,
@@ -48,10 +50,9 @@ from math import (
     tan,
     tanh,
 )
-from typing import Literal, Mapping, Sequence
+from typing import Callable, Literal, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .grid import Grid, Samples, cumulative_from, integrate, make_grid, slice_grid
 from .hierarchy import (
@@ -101,6 +102,93 @@ class RegimeError(ValueError):
 
 # ---------------------------------------------------------------------------
 # transcendental channel solves
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float,
+            xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Brent's bracketed root finder, a line-for-line port of scipy's brentq.
+
+    Follows ``scipy/optimize/Zeros/brentq.c`` (Brent 1973, ch. 4) operation
+    for operation, so every step rounds as the C code does and the root
+    matches ``scipy.optimize.brentq`` bit for bit; this keeps scipy.optimize
+    and its import cost out of the package. Raises RegimeError on a NaN
+    value, on a bracket without a sign change and on non-convergence.
+    """
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if isnan(fx):
+            raise RegimeError(f"root function is NaN at x={x!r}")
+        return fx
+
+    def signbit(x: float) -> bool:
+        return copysign(1.0, x) < 0.0
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if signbit(fpre) == signbit(fcur):
+        raise RegimeError("root bracket has no sign change")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and signbit(fpre) != signbit(fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                num = -fcur * (xcur - xpre)
+                den = fcur - fpre
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num = -fcur * (fblk * dblk - fpre * dpre)
+                den = dblk * dpre * (fblk - fpre)
+            # C yields inf or NaN for den == 0; either fails the test below
+            stry = num / den if den != 0.0 else inf
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+
+        fcur = call(xcur)
+    raise RegimeError(f"root search did not converge in {maxiter} iterations")
 
 
 def _channel_equation(t: float, total_sq_b2: float, ab_ratio: float,
@@ -191,7 +279,7 @@ def solve_even_well(
     if bracket[0] == bracket[1]:
         t_root = bracket[0]
     else:
-        t_root = brentq(F, *bracket, xtol=1e-15, rtol=8.9e-16)
+        t_root = _brentq(F, *bracket, xtol=1e-15, rtol=8.9e-16)
     qb = sqrt(total_b2 - t_root * t_root)
     residual = abs(F(t_root))
     if residual > 1e-12 * max(1.0, qb):

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +200,84 @@ def test_non_finite_or_empty_flags_are_config_errors(capsys, argv, reason):
     assert err.startswith("config error:") and reason in err
 
 
+def test_unconverged_half_line_stage_exits_on_its_stop_reason(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    rc, out, err = run(
+        ["solve", "asym_quartic", "--g", "2", "--lam", "0.5",
+         "--grid-density", "25", "--out", str(path)],
+        capsys,
+    )
+    assert rc == cli.EXIT_NONFINITE
+    assert err.strip().splitlines() == [
+        "half-line stage 'asym_quartic+(g=2, lam=0.5)' stopped: non-finite "
+        "shift or ratio (grid too coarse for this problem?)"
+    ]
+    assert out == "" and not path.exists()
+
+
+def test_unsupported_asym_trial_is_config_error(capsys):
+    rc, out, err = run(
+        ["solve", "asym_quartic", "--g", "4", "--lam", "0.85"], capsys
+    )
+    assert rc == cli.EXIT_CONFIG
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error:") and "not monotone" in err
+
+
+def test_oracle_eigensolve_failure_has_its_own_exit_code(capsys):
+    # the mirrored g=30 double well is near-degenerate: stebz/stein return
+    # a mixed even/odd vector that fails the nodeless-ground-state check
+    rc, out, err = run(["oracle", "sym_quartic", "--g", "30"], capsys)
+    assert rc == cli.EXIT_EIGENSOLVE
+    assert out == ""
+    assert err.strip().splitlines() == [
+        "oracle error: computed ground state changes sign above the noise floor"
+    ]
+
+
+_SCIPY_PROBE = """
+import json, sys
+from wellsolver import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {"import": loaded()}
+trace, sweep, outdir = sys.argv[1:4]
+assert cli.main(["solve", "sym_quartic", "--g", "2", "--grid-density", "150",
+                 "--out", trace]) == 0
+assert cli.main(["certify", trace, "--out", trace + ".json"]) == 0
+assert cli.main(["sweep", "--config", sweep, "--outdir", outdir]) == 0
+seen["engine"] = loaded()
+cli.main(["squarewell", "--w", "3", "--mu", "0.7", "--alpha", "1",
+          "--beta", "2", "--grid-density", "100", "--out", outdir + "/sq.txt"])
+seen["squarewell"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_engine_verbs_never_load_scipy(tmp_path):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(sweep_doc(sweep={"params.g": [2.0]})))
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "t.csv"),
+         str(sweep), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["import"] == [] and seen["engine"] == []
+    # squarewell needs the oracle's LAPACK call, but not scipy.optimize
+    assert "scipy.linalg" in seen["squarewell"]
+    assert not any(m.startswith("scipy.optimize") for m in seen["squarewell"])
+
+
 def test_unknown_verb_is_config_error():
     assert cli.main(["frobnicate"]) == cli.EXIT_CONFIG
 
@@ -326,8 +408,7 @@ def sweep_doc(**over):
     return doc
 
 
-def test_sweep_writes_manifest_and_points(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HIERARCHY_SOLVER_THREADS", "1")
+def test_sweep_writes_manifest_and_points(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(sweep_doc()))
     outdir = tmp_path / "out"
@@ -353,8 +434,7 @@ def test_sweep_writes_manifest_and_points(tmp_path, monkeypatch, capsys):
     assert es[0] < es[1]  # ground energy grows with coupling
 
 
-def test_sweep_empty_axis(tmp_path, monkeypatch):
-    monkeypatch.setenv("HIERARCHY_SOLVER_THREADS", "1")
+def test_sweep_empty_axis(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(sweep_doc(sweep={"params.g": []})))
     outdir = tmp_path / "out"
@@ -365,8 +445,7 @@ def test_sweep_empty_axis(tmp_path, monkeypatch):
     assert manifest["points"] == []
 
 
-def test_sweep_partial_failure(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HIERARCHY_SOLVER_THREADS", "1")
+def test_sweep_partial_failure(tmp_path, capsys):
     doc = sweep_doc(
         base={
             "problem": "asym_quartic",

@@ -82,6 +82,20 @@ def test_levels_come_out_ordered(moderate_model, moderate_grid):
     assert abs(lv[0] - moderate_model.E) < 1e-5  # unrefined, h^2 bias only
 
 
+@pytest.mark.parametrize("mirror_even", [False, True])
+def test_fd_levels_is_the_ground_state_eigenvalue(mirror_even):
+    # fd_levels skips the eigenvectors; the eigenvalue must not move a bit
+    # the mirrored case is sym_quartic on the half line, the other a tilted
+    # quartic on the full line
+    g, tilt = 3.0, (0.0 if mirror_even else 0.4)
+    grid = ws.quartic_grid(g, 200.0, full_line=not mirror_even)
+    x = grid.nodes
+    V = ws.Samples(grid, 0.5 * g * g * (x**2 - 1.0) ** 2 + tilt * g * x)
+    lv = ws.fd_levels(V, 1, mirror_even=mirror_even)
+    res = ws.fd_ground_state(V, mirror_even=mirror_even, levels=1)
+    assert lv[0] == res.E_ground
+
+
 def test_count_out_of_range_rejected():
     tiny = ws.make_grid((0.0, 1.0), 2.0)
     with pytest.raises(ValueError, match="count"):

@@ -6,7 +6,9 @@ assertions run at tight tolerances; where a check is conditioning-limited
 (deep tunneling) the bound says so.
 """
 
+import dataclasses
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wellsolver as ws
+from wellsolver import squarewell as sw
 from wellsolver.squarewell import ground_state_values, trial_log_samples, trial_values
 
 
@@ -77,6 +80,64 @@ def test_regime_validation():
         ws.solve_asymmetric(3.0, 3.0, 1.0, 2.0)
     with pytest.raises(ws.RegimeError, match="barrier too low"):
         ws.solve_asymmetric(0.5, 0.0, 1.0, 0.2)
+
+
+def _random_wells(n):
+    """(W, mu, alpha, beta) across shallow to deep barriers, fixed seed."""
+    rng = random.Random(20040707)
+    return [
+        (W, rng.uniform(0.0, 0.4) * W, rng.uniform(0.2, 2.0), rng.uniform(0.5, 3.0))
+        for W in (rng.uniform(2.0, 20.0) for _ in range(n))
+    ]
+
+
+def test_brentq_port_matches_scipy_bit_for_bit(monkeypatch):
+    """Reference check: the private port against scipy's compiled brentq.
+
+    Every bracket the channel solves hand to the root finder (channels a,
+    b and od, finite and infinite barriers) must give the identical float,
+    and so must every field of the solved models.
+    """
+    from scipy.optimize import brentq
+
+    port = sw._brentq
+    calls = []
+
+    def spy(f, a, b, xtol, rtol):
+        calls.append((f, a, b, xtol, rtol))
+        return port(f, a, b, xtol, rtol)
+
+    def via_scipy(f, a, b, xtol, rtol):
+        return brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+    wells = _random_wells(40)
+    models = []
+    for W, mu, alpha, beta in wells:
+        monkeypatch.setattr(sw, "_brentq", spy)
+        try:
+            mine = ws.solve_asymmetric(W, mu, alpha, beta)
+        except ValueError:  # out of regime: no model to compare
+            continue
+        for channel in ("b", "od"):
+            ws.solve_even_well(W, beta, math.inf, channel)
+        monkeypatch.setattr(sw, "_brentq", via_scipy)
+        models.append((mine, ws.solve_asymmetric(W, mu, alpha, beta)))
+    assert len(models) >= 30
+    assert {c[0].__qualname__ for c in calls} == {"solve_even_well.<locals>.F"}
+    assert len(calls) >= 5 * len(models)
+    for f, a, b, xtol, rtol in calls:
+        assert port(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol, rtol=rtol)
+    for mine, ref in models:
+        assert dataclasses.astuple(mine) == dataclasses.astuple(ref)
+
+
+def test_brentq_port_failures_are_regime_errors():
+    with pytest.raises(ws.RegimeError, match="sign change"):
+        sw._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-15, 8.9e-16)
+    with pytest.raises(ws.RegimeError, match="did not converge"):
+        sw._brentq(math.atan, -1.0, 2.0, 1e-300, 8.9e-16, maxiter=3)
+    with pytest.raises(ws.RegimeError, match="NaN"):
+        sw._brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0, 1e-15, 8.9e-16)
 
 
 # sub-resolution asymmetry (0 < mu^2 below float eps) is a documented
