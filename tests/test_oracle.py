@@ -84,8 +84,8 @@ def test_levels_come_out_ordered(moderate_model, moderate_grid):
 
 @pytest.mark.parametrize("mirror_even", [False, True])
 def test_fd_levels_is_the_ground_state_eigenvalue(mirror_even):
-    # fd_levels skips the eigenvectors; the eigenvalue must not move a bit
-    # the mirrored case is sym_quartic on the half line, the other a tilted
+    # fd_levels skips the eigenvectors, which must not move the eigenvalue
+    # by a bit: sym_quartic mirrored from the half line, and a tilted
     # quartic on the full line
     g, tilt = 3.0, (0.0 if mirror_even else 0.4)
     grid = ws.quartic_grid(g, 200.0, full_line=not mirror_even)
