@@ -9,8 +9,12 @@ Exit codes, shared by every verb:
 * 4 - bad configuration, unusable input file, or I/O failure
 * 5 - the run produced a non-finite shift or ratio (grid too coarse for
   the problem); the trace up to that iteration is still written
-* 6 - the oracle's eigensolve failed, or returned a ground state that
-  changes sign (``oracle`` and ``squarewell``)
+* 6 - the oracle's eigensolve failed: its Sturm counts did not isolate
+  the level, or its ground state changes sign (``oracle``, ``squarewell``)
+
+``oracle`` solves ``harmonic`` and ``sym_quartic`` as the even sector on
+the half line, so the node count it reports for each level counts
+half-line nodes.
 
 An asym_quartic ``solve`` whose half-line stage stops unconverged exits
 with that stage's stop-reason code (2, 3 or 5) and writes no trace; a

@@ -366,7 +366,8 @@ class SquareWellModel:
         if self.mu > 0.0 and not self.delta > 0.0:
             raise ValueError("asymmetry must push the node toward the raised well")
         if not self.E < self.E_od:
-            raise ValueError("ground energy must sit below the odd state")
+            # deep tunneling: the even-odd split is below float resolution
+            raise RegimeError("ground energy must sit below the odd state")
         if self.E < self.E_b - 1e-12 * abs(self.E_b):
             raise ValueError("raising one floor cannot lower the ground energy")
         if self.mu > 0.0 and not (self.E_b < self.E_a and self.E < self.E_a):

@@ -16,7 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from wellsolver import cli
+from wellsolver import (
+    build_symmetric_quartic_trial,
+    cli,
+    iterate,
+    quartic_grid,
+)
 
 
 def run(argv, capsys):
@@ -226,14 +231,49 @@ def test_unsupported_asym_trial_is_config_error(capsys):
 
 
 def test_oracle_eigensolve_failure_has_its_own_exit_code(capsys):
-    # the mirrored g=30 double well is near-degenerate: stebz/stein return
-    # a mixed even/odd vector that fails the nodeless-ground-state check
-    rc, out, err = run(["oracle", "sym_quartic", "--g", "30"], capsys)
+    # lam = 0 leaves the full-line g=30 double well symmetric: its even and
+    # odd levels agree to roundoff, so no Sturm count isolates the ground
+    # state and the certificate refuses it
+    rc, out, err = run(["oracle", "asym_quartic", "--g", "30", "--lam", "0"],
+                       capsys)
     assert rc == cli.EXIT_EIGENSOLVE
     assert out == ""
-    assert err.strip().splitlines() == [
-        "oracle error: computed ground state changes sign above the noise floor"
-    ]
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("oracle error: Sturm counts")
+
+
+@pytest.mark.parametrize("g", [25.0, 30.0, 40.0])
+def test_oracle_solves_deep_even_double_wells(capsys, g):
+    # the even sector has no near-degenerate partner, however deep the wells
+    rc, out, err = run(
+        ["oracle", "sym_quartic", "--g", str(g), "--format", "json"], capsys
+    )
+    assert rc == cli.EXIT_OK, err
+    trial = build_symmetric_quartic_trial(g, quartic_grid(g, 400.0))
+    engine = iterate(trial, "A")
+    assert engine.converged
+    assert abs(json.loads(out)["E_ground"] - engine.E_limit) < 1e-5
+
+
+# E and E_od of this deep-tunneling well meet in floating point
+_UNRESOLVED_SPLIT = [
+    "--w", "19.962159061873606", "--mu", "0.17050836184484658",
+    "--alpha", "0.967217231233825", "--beta", "1.016509216694109",
+    "--grid-density", "50",
+]
+
+
+@pytest.mark.parametrize(
+    "verb", [["squarewell"], ["solve", "squarewell"], ["oracle", "squarewell"]]
+)
+def test_unresolved_tunneling_split_is_config_error(capsys, verb):
+    rc, out, err = run(verb + _UNRESOLVED_SPLIT, capsys)
+    assert rc == cli.EXIT_CONFIG
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert "ground energy must sit below the odd state" in lines[0]
 
 
 _SCIPY_PROBE = """
@@ -250,9 +290,13 @@ assert cli.main(["solve", "sym_quartic", "--g", "2", "--grid-density", "150",
 assert cli.main(["certify", trace, "--out", trace + ".json"]) == 0
 assert cli.main(["sweep", "--config", sweep, "--outdir", outdir]) == 0
 seen["engine"] = loaded()
-cli.main(["squarewell", "--w", "3", "--mu", "0.7", "--alpha", "1",
-          "--beta", "2", "--grid-density", "100", "--out", outdir + "/sq.txt"])
+assert cli.main(["squarewell", "--w", "3", "--mu", "0.7", "--alpha", "1",
+                 "--beta", "2", "--grid-density", "100",
+                 "--out", outdir + "/sq.txt"]) == 0
 seen["squarewell"] = loaded()
+assert cli.main(["oracle", "sym_quartic", "--g", "2", "--grid-density", "100",
+                 "--out", outdir + "/oracle.txt"]) == 0
+seen["oracle"] = loaded()
 print(json.dumps(seen))
 """
 
@@ -272,10 +316,8 @@ def test_engine_verbs_never_load_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert seen["import"] == [] and seen["engine"] == []
-    # squarewell needs the oracle's LAPACK call, but not scipy.optimize
-    assert "scipy.linalg" in seen["squarewell"]
-    assert not any(m.startswith("scipy.optimize") for m in seen["squarewell"])
+    # no verb loads scipy: the oracle's eigensolver is pure Python
+    assert seen == {"import": [], "engine": [], "squarewell": [], "oracle": []}
 
 
 def test_unknown_verb_is_config_error():
