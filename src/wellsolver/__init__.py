@@ -39,7 +39,6 @@ from .grid import (
 )
 from .hierarchy import (
     CertificationReport,
-    ChargeBalanceError,
     FullLineProblem,
     HalfLinePair,
     HalfLineStageError,
@@ -47,13 +46,8 @@ from .hierarchy import (
     IterationState,
     IterationTrace,
     PairVerdict,
-    PositivityError,
     certify,
     certify_shift_sequence,
-    displacement,
-    energy_update,
-    f_update_caseA,
-    f_update_caseB,
     glue_full_line,
     iterate,
     iterate_full_line,
@@ -127,7 +121,6 @@ __all__ = [
     "slice_grid",
     # hierarchy
     "CertificationReport",
-    "ChargeBalanceError",
     "FullLineProblem",
     "HalfLinePair",
     "HalfLineStageError",
@@ -135,13 +128,8 @@ __all__ = [
     "IterationState",
     "IterationTrace",
     "PairVerdict",
-    "PositivityError",
     "certify",
     "certify_shift_sequence",
-    "displacement",
-    "energy_update",
-    "f_update_caseA",
-    "f_update_caseB",
     "glue_full_line",
     "iterate",
     "iterate_full_line",

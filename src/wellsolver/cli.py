@@ -12,6 +12,12 @@ Exit codes, shared by every verb:
 * 6 - the oracle's eigensolve failed: its Sturm counts did not isolate
   the level, or its ground state changes sign (``oracle``, ``squarewell``)
 
+Each problem is defined once, in the ``_PROBLEMS`` registry: its
+parameters and their ranges, its grid, its engine pipeline, its cases and
+its oracle potential. Every verb reads that one definition and offers
+only the flags it uses; a flag a verb does not take, or another
+problem's parameter flag, exits 4.
+
 ``oracle`` solves ``harmonic`` and ``sym_quartic`` as the even sector on
 the half line, so the node count it reports for each level counts
 half-line nodes.
@@ -34,11 +40,12 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import product
-from math import inf, isfinite, sqrt
+from math import isfinite, sqrt
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -166,82 +173,46 @@ class ExperimentConfig:
         }
 
 
-PROBLEM_PARAMS: dict[str, tuple[str, ...]] = {
-    "harmonic": ("g",),
-    "sym_quartic": ("g",),
-    "asym_quartic": ("g", "lam"),
-    "squarewell": ("W", "mu", "alpha", "beta"),
-    "two_level": ("E_inf", "lam", "mu_sq"),
-}
-
-
 def config_hash(cfg: ExperimentConfig) -> str:
     blob = json.dumps(cfg.as_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Check parameter ranges against the module preconditions.
-
-    Raises ConfigError (exit code 4 at the CLI boundary) before any work
-    happens, so a rejected config never produces a partial trace.
-    """
-    if cfg.problem not in PROBLEM_PARAMS:
-        raise ConfigError(
-            f"unknown problem {cfg.problem!r}; "
-            f"expected one of {sorted(PROBLEM_PARAMS)}"
-        )
-    wanted = PROBLEM_PARAMS[cfg.problem]
-    missing = [k for k in wanted if k not in cfg.params]
-    extra = [k for k in cfg.params if k not in wanted]
-    if missing or extra:
-        raise ConfigError(
-            f"{cfg.problem} takes parameters {wanted}; "
-            f"missing {missing}, unexpected {extra}"
-        )
-    p = {k: float(v) for k, v in cfg.params.items()}
-    if not all(isfinite(v) for v in p.values()):
-        raise ConfigError(f"{cfg.problem}: parameters must be finite")
-    if cfg.case not in ("A", "B"):
-        raise ConfigError("case must be 'A' or 'B'")
-    if not (cfg.grid.density > 0 and isfinite(cfg.grid.density)):
-        raise ConfigError("grid density must be positive and finite")
-    if cfg.grid.x_max is not None and not (
-        cfg.grid.x_max > 0 and isfinite(cfg.grid.x_max)
-    ):
-        raise ConfigError("x_max must be positive and finite when given")
-    if cfg.engine.max_iter < 1:
-        raise ConfigError("max_iter must be at least 1")
-    if cfg.engine.tol_e < 0 or cfg.engine.tol_f < 0:
-        raise ConfigError("tolerances must be nonnegative")
-
-    if cfg.problem == "harmonic":
-        if not p["g"] > 0:
-            raise ConfigError("harmonic: g must be positive")
-    elif cfg.problem == "sym_quartic":
-        if not p["g"] >= 1.0:
-            raise ConfigError("sym_quartic: g must be >= 1")
-    elif cfg.problem == "asym_quartic":
-        if not 0.0 <= p["lam"] < 1.0:
-            raise ConfigError("asym_quartic: tilt must satisfy 0 <= lam < 1")
-        if not p["g"] > 1.0 + p["lam"]:
-            raise ConfigError("asym_quartic: need g > 1 + lam")
-    elif cfg.problem == "squarewell":
-        if not p["W"] > 0:
-            raise ConfigError("squarewell: W must be positive")
-        if not 0.0 <= p["mu"] < p["W"]:
-            raise ConfigError("squarewell: need 0 <= mu < W")
-        if not (p["alpha"] > 0 and p["beta"] > 0):
-            raise ConfigError("squarewell: alpha and beta must be positive")
-    elif cfg.problem == "two_level":
-        if not p["lam"] > 0:
-            raise ConfigError("two_level: lam must be positive")
-        if p["mu_sq"] < 0:
-            raise ConfigError("two_level: mu_sq must be nonnegative")
-
-
 # ---------------------------------------------------------------------------
-# running one configuration
+# problem registry
+#
+# Entries reach package functions through this module's global names (and
+# ``sw.``) inside lambdas and helpers, looked up at call time, so anything
+# wrapped at a module attribute sees every call a verb makes.
+
+_Params = Mapping[str, float]
+
+
+class _Problem(NamedTuple):
+    """Everything the verbs know about one problem.
+
+    ``checks`` pairs a range predicate on the parameters with the reason
+    it gives when false. ``domain(p, grid_spec)`` builds the grid (for a
+    square well, the solved model and its grid); ``trial(p, domain)``
+    builds the engine's input and ``run(trial, case, opts)`` iterates on
+    it; ``potential(p, domain)`` returns the oracle's samples and the
+    ``v_func`` it resamples refined grids from, and ``reflecting`` makes
+    the oracle solve the even sector with a reflecting end at x = 0.
+    ``walls`` marks a domain fixed by hard walls, where x_max is refused.
+    A closed-form reduction has no domain and no cases. (A NamedTuple
+    rather than a dataclass: every cold process builds this class, and a
+    dataclass costs it about 1.5 ms more.)
+    """
+
+    params: tuple[str, ...]
+    checks: tuple[tuple[Callable[[_Params], bool], str], ...]
+    cases: tuple[str, ...] = ("A", "B")
+    domain: Callable[[_Params, GridSpec], Any] | None = None
+    trial: Callable[[_Params, Any], Any] | None = None
+    run: Callable[[Any, str, IterateOptions], IterationTrace] | None = None
+    potential: Callable[[_Params, Any], tuple[Samples, Any]] | None = None
+    reflecting: bool = False
+    walls: bool = False
 
 
 def _full_line_boundary(step_side: str, case: str) -> str:
@@ -251,47 +222,171 @@ def _full_line_boundary(step_side: str, case: str) -> str:
     return "at_plus_inf" if case == "A" else "at_minus_inf"
 
 
-def run_problem(cfg: ExperimentConfig) -> IterationTrace:
-    """Build the configured problem and run the iteration engine on it."""
-    validate_config(cfg)
-    p = {k: float(v) for k, v in cfg.params.items()}
-    opts = cfg.engine.options()
-    if cfg.problem == "two_level":
+def _run_glued(pair: Any, case: str, opts: IterateOptions) -> IterationTrace:
+    tplus, tminus = pair
+    half = solve_half_line_pair(tplus, tminus, opts)
+    problem = glue_full_line(half, tplus, tminus)
+    boundary = _full_line_boundary(problem.step_side, case)
+    return iterate_full_line(problem, boundary, opts)  # type: ignore[arg-type]
+
+
+def _harmonic_grid(p: _Params, spec: GridSpec) -> Grid:
+    x_max = spec.x_max if spec.x_max is not None else 8.0 / sqrt(p["g"])
+    return make_grid((0.0, x_max), spec.density)
+
+
+def _well(p: _Params, spec: GridSpec) -> tuple[sw.SquareWellModel, Grid]:
+    model = sw.solve_asymmetric(p["W"], p["mu"], p["alpha"], p["beta"])
+    return model, sw.squarewell_grid(model, spec.density)
+
+
+def _sampled(
+    v: Callable[..., np.ndarray], p: _Params, grid: Grid
+) -> tuple[Samples, Any]:
+    """Oracle potential V(x) = v(p, x) on the grid, and V for refined grids."""
+    v_func = partial(v, p)
+    return Samples(grid, v_func(grid.nodes)), v_func
+
+
+_PROBLEMS: dict[str, _Problem] = {
+    "harmonic": _Problem(
+        params=("g",),
+        checks=((lambda p: p["g"] > 0, "g must be positive"),),
+        domain=_harmonic_grid,
+        trial=lambda p, grid: build_harmonic_trial(p["g"], grid),
+        run=lambda trial, case, opts: iterate(trial, case, opts),
+        potential=partial(_sampled, lambda p, x: 0.5 * p["g"] ** 2 * x**2),
+        reflecting=True,
+    ),
+    "sym_quartic": _Problem(
+        params=("g",),
+        checks=((lambda p: p["g"] >= 1.0, "g must be >= 1"),),
+        domain=lambda p, s: quartic_grid(p["g"], s.density, x_max=s.x_max),
+        trial=lambda p, grid: build_symmetric_quartic_trial(p["g"], grid),
+        run=lambda trial, case, opts: iterate(trial, case, opts),
+        potential=partial(
+            _sampled, lambda p, x: 0.5 * p["g"] ** 2 * (x**2 - 1.0) ** 2
+        ),
+        reflecting=True,
+    ),
+    "asym_quartic": _Problem(
+        params=("g", "lam"),
+        checks=(
+            (lambda p: 0.0 <= p["lam"] < 1.0, "tilt must satisfy 0 <= lam < 1"),
+            (lambda p: p["g"] > 1.0 + p["lam"], "need g > 1 + lam"),
+        ),
+        domain=lambda p, s: quartic_grid(
+            p["g"], s.density, x_max=s.x_max, full_line=True
+        ),
+        trial=lambda p, grid: build_asymmetric_quartic_trial(p["g"], p["lam"], grid),
+        run=_run_glued,
+        potential=partial(
+            _sampled,
+            lambda p, x: 0.5 * p["g"] ** 2 * (x**2 - 1.0) ** 2 + p["g"] * p["lam"] * x,
+        ),
+    ),
+    "squarewell": _Problem(
+        params=("W", "mu", "alpha", "beta"),
+        checks=(
+            (lambda p: p["W"] > 0, "W must be positive"),
+            (lambda p: 0.0 <= p["mu"] < p["W"], "need 0 <= mu < W"),
+            (
+                lambda p: p["alpha"] > 0 and p["beta"] > 0,
+                "alpha and beta must be positive",
+            ),
+        ),
+        domain=_well,
+        trial=lambda p, well: well,
+        run=lambda well, case, opts: sw.iterate_squarewell(*well, opts, case),
+        potential=lambda p, well: (sw.potential_samples(*well), None),
+        walls=True,
+    ),
+    "two_level": _Problem(
+        params=("E_inf", "lam", "mu_sq"),
+        checks=(
+            (lambda p: p["lam"] > 0, "lam must be positive"),
+            (lambda p: p["mu_sq"] >= 0, "mu_sq must be nonnegative"),
+        ),
+        cases=(),
+    ),
+}
+# every parameter name, each once, in registry order
+_ALL_PARAMS = tuple(dict.fromkeys(k for e in _PROBLEMS.values() for k in e.params))
+
+
+def validate_config(cfg: ExperimentConfig) -> None:
+    """Check parameter ranges against the module preconditions.
+
+    Raises ConfigError (exit code 4 at the CLI boundary) before any work
+    happens, so a rejected config never produces a partial trace.
+    """
+    spec = _PROBLEMS.get(cfg.problem)
+    if spec is None:
         raise ConfigError(
-            "two_level is a closed-form reduction with no iteration; "
+            f"unknown problem {cfg.problem!r}; expected one of {sorted(_PROBLEMS)}"
+        )
+    missing = [k for k in spec.params if k not in cfg.params]
+    extra = [k for k in cfg.params if k not in spec.params]
+    if missing or extra:
+        raise ConfigError(
+            f"{cfg.problem} takes parameters {spec.params}; "
+            f"missing {missing}, unexpected {extra}"
+        )
+    p = {k: float(v) for k, v in cfg.params.items()}
+    if not all(isfinite(v) for v in p.values()):
+        raise ConfigError(f"{cfg.problem}: parameters must be finite")
+    # a problem without cases keeps the config's default one
+    cases = spec.cases or (ExperimentConfig.case,)
+    if cfg.case not in cases:
+        raise ConfigError(f"{cfg.problem}: case must be one of {cases}")
+    if not (cfg.grid.density > 0 and isfinite(cfg.grid.density)):
+        raise ConfigError("grid density must be positive and finite")
+    if cfg.grid.x_max is not None:
+        if spec.walls:
+            raise ConfigError(f"{cfg.problem}: its walls fix the domain; no x_max")
+        if not (cfg.grid.x_max > 0 and isfinite(cfg.grid.x_max)):
+            raise ConfigError("x_max must be positive and finite when given")
+    if cfg.engine.max_iter < 1:
+        raise ConfigError("max_iter must be at least 1")
+    if cfg.engine.tol_e < 0 or cfg.engine.tol_f < 0:
+        raise ConfigError("tolerances must be nonnegative")
+    for ok, reason in spec.checks:
+        if not ok(p):
+            raise ConfigError(f"{cfg.problem}: {reason}")
+
+
+# ---------------------------------------------------------------------------
+# running one configuration
+
+
+def _build(cfg: ExperimentConfig, *parts: str) -> tuple[Any, ...]:
+    """Validate ``cfg``; build its domain, then each of ``parts`` on it.
+
+    ``parts`` name the problem's builders: "trial" (the engine's input)
+    and "potential" (the oracle's). Whatever a builder rejects with
+    ValueError or OverflowError (a grid too large to allocate, a trial
+    the grid cannot hold, a coupling whose square overflows) is a
+    ConfigError.
+    """
+    validate_config(cfg)
+    spec = _PROBLEMS[cfg.problem]
+    if spec.domain is None:
+        raise ConfigError(
+            f"{cfg.problem} is a closed-form reduction with no iteration; "
             "use the 'twolevel' command"
         )
-    if cfg.problem == "harmonic":
-        g = p["g"]
-        x_max = cfg.grid.x_max if cfg.grid.x_max is not None else 8.0 / sqrt(g)
-        grid = make_grid((0.0, x_max), cfg.grid.density)
-        return iterate(build_harmonic_trial(g, grid), cfg.case, opts)
-    if cfg.problem == "sym_quartic":
-        grid = quartic_grid(p["g"], cfg.grid.density, x_max=cfg.grid.x_max)
-        return iterate(
-            build_symmetric_quartic_trial(p["g"], grid), cfg.case, opts
-        )
-    if cfg.problem == "asym_quartic":
-        grid = quartic_grid(
-            p["g"], cfg.grid.density, x_max=cfg.grid.x_max, full_line=True
-        )
-        try:
-            tplus, tminus = build_asymmetric_quartic_trial(p["g"], p["lam"], grid)
-        except ValueError as exc:
-            raise ConfigError(f"asym_quartic trial unsupported: {exc}") from exc
-        half = solve_half_line_pair(tplus, tminus, opts)
-        problem = glue_full_line(half, tplus, tminus)
-        boundary = _full_line_boundary(problem.step_side, cfg.case)
-        return iterate_full_line(problem, boundary, opts)  # type: ignore[arg-type]
-    # squarewell
+    p = {k: float(v) for k, v in cfg.params.items()}
     try:
-        model = sw.solve_asymmetric(p["W"], p["mu"], p["alpha"], p["beta"])
-    except sw.RegimeError as exc:
-        raise ConfigError(f"squarewell regime error: {exc}") from exc
-    grid = sw.squarewell_grid(model, cfg.grid.density)
-    problem = sw.build_squarewell_problem(model, grid)
-    boundary = _full_line_boundary(problem.step_side, cfg.case)
-    return iterate_full_line(problem, boundary, opts)  # type: ignore[arg-type]
+        domain = spec.domain(p, cfg.grid)
+        return (domain, *(getattr(spec, part)(p, domain) for part in parts))
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{cfg.problem} cannot be built: {exc}") from exc
+
+
+def run_problem(cfg: ExperimentConfig) -> IterationTrace:
+    """Build the configured problem and run the iteration engine on it."""
+    _domain, trial = _build(cfg, "trial")
+    return _PROBLEMS[cfg.problem].run(trial, cfg.case, cfg.engine.options())
 
 
 # ---------------------------------------------------------------------------
@@ -496,23 +591,31 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _given(args: argparse.Namespace, names: Sequence[str]) -> dict[str, Any]:
+    """The values of those ``names`` the verb's parser offers a flag for."""
+    return {k: getattr(args, k) for k in names if hasattr(args, k)}
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    params = {
-        k: getattr(args, k)
-        for k in PROBLEM_PARAMS[args.problem]
-        if getattr(args, k, None) is not None
-    }
-    missing = [k for k in PROBLEM_PARAMS[args.problem] if k not in params]
+    """The config a verb's flags describe; settings without a flag keep
+    their defaults, and another problem's parameter flags are refused."""
+    wanted = _PROBLEMS[args.problem].params
+    stray = [
+        _flag(k)
+        for k in _ALL_PARAMS
+        if k not in wanted and getattr(args, k, None) is not None
+    ]
+    if stray:
+        raise ConfigError(f"{args.problem} does not take {' '.join(stray)}")
+    missing = [_flag(k) for k in wanted if getattr(args, k) is None]
     if missing:
-        raise ConfigError(f"{args.problem} needs --{' --'.join(missing)}")
+        raise ConfigError(f"{args.problem} needs {' '.join(missing)}")
     return ExperimentConfig(
         problem=args.problem,
-        params=params,
-        case=args.case,
-        grid=GridSpec(density=args.grid_density, x_max=args.x_max),
-        engine=EngineSpec(
-            max_iter=args.max_iter, tol_e=args.tol_e, tol_f=args.tol_f
-        ),
+        params={k: getattr(args, k) for k in wanted},
+        grid=GridSpec(**_given(args, ("density", "x_max"))),
+        engine=EngineSpec(**_given(args, ("max_iter", "tol_e", "tol_f"))),
+        **_given(args, ("case",)),
     )
 
 
@@ -595,19 +698,18 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_squarewell(args: argparse.Namespace) -> int:
     try:
         cfg = _config_from_args(args)
-        validate_config(cfg)
-        p = {k: float(v) for k, v in cfg.params.items()}
-        model = sw.solve_asymmetric(p["W"], p["mu"], p["alpha"], p["beta"])
-    except (ConfigError, sw.RegimeError) as exc:
+        (model, grid), well, (V, v_func) = _build(cfg, "trial", "potential")
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    grid = sw.squarewell_grid(model, cfg.grid.density)
-
-    trace = sw.iterate_squarewell(model, grid, opts=cfg.engine.options())
+    spec = _PROBLEMS[cfg.problem]
+    trace = spec.run(well, cfg.case, cfg.engine.options())
     E_engine = trace.states[-1].E_n
 
     try:
-        oracle = fd_ground_state(sw.potential_samples(model, grid), levels=2)
+        oracle = fd_ground_state(
+            V, v_func=v_func, mirror_even=spec.reflecting, levels=2
+        )
     except EigensolveError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_EIGENSOLVE
@@ -707,50 +809,18 @@ def cmd_twolevel(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     try:
         cfg = _config_from_args(args)
-        validate_config(cfg)
         if args.levels < 1:
             raise ConfigError("--levels must be at least 1")
+        _domain, (V, v_func) = _build(cfg, "potential")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    p = {k: float(v) for k, v in cfg.params.items()}
-    mirror = False
-    v_func = None
-    if cfg.problem == "harmonic":
-        g = p["g"]
-        x_max = cfg.grid.x_max if cfg.grid.x_max is not None else 8.0 / sqrt(g)
-        grid = make_grid((0.0, x_max), cfg.grid.density)
-        v_func = lambda x: 0.5 * g**2 * x**2  # noqa: E731
-        mirror = True
-    elif cfg.problem == "sym_quartic":
-        g = p["g"]
-        grid = quartic_grid(g, cfg.grid.density, x_max=cfg.grid.x_max)
-        v_func = lambda x: 0.5 * g**2 * (x**2 - 1.0) ** 2  # noqa: E731
-        mirror = True
-    elif cfg.problem == "asym_quartic":
-        g, lam = p["g"], p["lam"]
-        grid = quartic_grid(
-            g, cfg.grid.density, x_max=cfg.grid.x_max, full_line=True
-        )
-        v_func = lambda x: 0.5 * g**2 * (x**2 - 1.0) ** 2 + g * lam * x  # noqa: E731
-    elif cfg.problem == "squarewell":
-        try:
-            model = sw.solve_asymmetric(p["W"], p["mu"], p["alpha"], p["beta"])
-        except sw.RegimeError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        grid = sw.squarewell_grid(model, cfg.grid.density)
-    else:
-        print("config error: the oracle solves potentials, not two_level",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    if cfg.problem == "squarewell":
-        V = sw.potential_samples(model, grid)
-    else:
-        V = Samples(grid, v_func(grid.nodes))
     try:
         res = fd_ground_state(
-            V, v_func=v_func, mirror_even=mirror, levels=args.levels
+            V,
+            v_func=v_func,
+            mirror_even=_PROBLEMS[cfg.problem].reflecting,
+            levels=args.levels,
         )
     except EigensolveError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
@@ -924,28 +994,39 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-density", type=float, default=400.0,
-                   dest="grid_density", help="nodes per unit length")
-    p.add_argument("--x-max", type=float, default=None, dest="x_max",
-                   help="override the automatic domain truncation")
-    p.add_argument("--max-iter", type=int, default=64, dest="max_iter")
-    p.add_argument("--tol-e", type=float, default=1e-10, dest="tol_e",
-                   help="energy stop tolerance, relative to E0")
-    p.add_argument("--tol-f", type=float, default=1e-9, dest="tol_f",
-                   help="absolute stop tolerance on max|f_n - f_{n-1}|")
-    p.add_argument("--out", default=None,
-                   help="output path ('-' or omitted: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def _flag(name: str) -> str:
     return "--" + name.lower().replace("_", "-")
 
 
-def _add_problem_flags(p: argparse.ArgumentParser, problem: str) -> None:
-    for name in PROBLEM_PARAMS[problem]:
+def _add_problem_flags(
+    p: argparse.ArgumentParser, problems: Sequence[str], engine: bool = True
+) -> None:
+    """Flags for a verb serving ``problems``: their parameters, and the
+    case, grid and engine flags that at least one of them uses (case and
+    engine only when the verb runs the engine)."""
+    specs = [_PROBLEMS[name] for name in problems]
+    for name in dict.fromkeys(k for s in specs for k in s.params):
         p.add_argument(_flag(name), type=float, default=None, dest=name)
+    cases = sorted({c for s in specs for c in s.cases})
+    if engine and cases:
+        p.add_argument("--case", choices=cases, default=ExperimentConfig.case)
+    if any(s.domain for s in specs):
+        p.add_argument("--grid-density", type=float, default=GridSpec.density,
+                       dest="density", help="nodes per unit length")
+    if any(s.domain and not s.walls for s in specs):
+        p.add_argument("--x-max", type=float, default=None, dest="x_max",
+                       help="override the automatic domain truncation")
+    if engine and any(s.run for s in specs):
+        p.add_argument("--max-iter", type=int, default=EngineSpec.max_iter,
+                       dest="max_iter")
+        p.add_argument("--tol-e", type=float, default=EngineSpec.tol_e,
+                       dest="tol_e", help="energy stop tolerance, relative to E0")
+        p.add_argument("--tol-f", type=float, default=EngineSpec.tol_f,
+                       dest="tol_f",
+                       help="absolute stop tolerance on max|f_n - f_{n-1}|")
+    p.add_argument("--out", default=None,
+                   help="output path ('-' or omitted: stdout)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -956,15 +1037,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="verb", required=True)
 
     p_solve = subs.add_parser("solve", help="run the iteration, write a trace")
-    p_solve.add_argument("problem", choices=sorted(PROBLEM_PARAMS))
-    p_solve.add_argument("--case", choices=("A", "B"), default="A")
-    for prob in PROBLEM_PARAMS:
-        for name in PROBLEM_PARAMS[prob]:
-            if not any(a.dest == name for a in p_solve._actions):
-                p_solve.add_argument(
-                    _flag(name), type=float, default=None, dest=name
-                )
-    _add_common(p_solve)
+    p_solve.add_argument("problem", choices=sorted(_PROBLEMS))
+    _add_problem_flags(p_solve, sorted(_PROBLEMS))
     p_solve.set_defaults(fn=cmd_solve)
 
     p_cert = subs.add_parser("certify", help="re-check a written trace")
@@ -975,29 +1049,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_sq = subs.add_parser(
         "squarewell", help="four-route comparison on the analytic well"
     )
-    p_sq.add_argument("--case", choices=("A", "B"), default="A")
-    _add_problem_flags(p_sq, "squarewell")
-    _add_common(p_sq)
+    _add_problem_flags(p_sq, ["squarewell"])
     p_sq.set_defaults(fn=cmd_squarewell, problem="squarewell")
 
     p_tl = subs.add_parser("twolevel", help="closed-form two-level reduction")
-    p_tl.add_argument("--case", choices=("A", "B"), default="A")
-    _add_problem_flags(p_tl, "two_level")
-    _add_common(p_tl)
+    _add_problem_flags(p_tl, ["two_level"])
     p_tl.set_defaults(fn=cmd_twolevel, problem="two_level")
 
+    solvable = sorted(k for k, s in _PROBLEMS.items() if s.potential)
     p_or = subs.add_parser("oracle", help="independent eigensolve of a problem")
-    p_or.add_argument("problem", choices=sorted(set(PROBLEM_PARAMS) - {"two_level"}))
-    p_or.add_argument("--case", choices=("A", "B"), default="A")
+    p_or.add_argument("problem", choices=solvable)
     p_or.add_argument("--levels", type=int, default=3,
                       help="refinement levels for Richardson extrapolation")
-    for prob in PROBLEM_PARAMS:
-        for name in PROBLEM_PARAMS[prob]:
-            if not any(a.dest == name for a in p_or._actions):
-                p_or.add_argument(
-                    _flag(name), type=float, default=None, dest=name
-                )
-    _add_common(p_or)
+    _add_problem_flags(p_or, solvable, engine=False)
     p_or.set_defaults(fn=cmd_oracle)
 
     p_sw = subs.add_parser("sweep", help="run a parameter grid from a config file")

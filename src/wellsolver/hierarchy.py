@@ -23,13 +23,16 @@ log-amplitude; no intermediate ever overflows, underflows, or cancels
 catastrophically. Everything those scans and the brackets need that
 depends only on phi, the grid and w's jump nodes (the block partition,
 the per-block scale factors, the bracket weights) is built once per run
-into a ``_Plan``; each iteration runs on raw arrays from it.
+into a ``_Plan``, and ``_step`` runs one iteration on raw arrays from
+it. ``_step`` is the package's only implementation of the update: every
+problem, half line or full line, iterates through it.
 
 Two-stage full-line pipeline: solve the two half-line problems
 independently (Case A), glue chi = phi * f at the origin, and iterate on
 the full line where the leftover perturbation is a step of height
-|E_a - E_b|; ``iterate_full_line`` maps its boundary choice onto the same
-engine (the anchor on the step-free side plays Case A).
+|E_a - E_b| at the origin (``_step_at_origin``, shared with the analytic
+square well); ``iterate_full_line`` maps its boundary choice onto the
+same engine (the anchor on the step-free side plays Case A).
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .grid import (
     Grid,
     Samples,
     _pair_increments,
-    bracket,
     concat_grids,
     cumulative_from,
     integrate,
@@ -60,13 +62,7 @@ __all__ = [
     "FullLineProblem",
     "HalfLinePair",
     "IterateOptions",
-    "PositivityError",
-    "ChargeBalanceError",
     "HalfLineStageError",
-    "energy_update",
-    "displacement",
-    "f_update_caseA",
-    "f_update_caseB",
     "iterate",
     "certify",
     "certify_shift_sequence",
@@ -81,14 +77,6 @@ Anchor = Literal["left", "right"]
 # Per-block cap on the log-amplitude range (in 2L units) of the scaled
 # scans; e^{+-cap} stays far from both float64 overflow and denormals.
 _BLOCK_LOG_RANGE = 300.0
-
-
-class PositivityError(ValueError):
-    """A ratio f became nonpositive where the recursion needs f > 0."""
-
-
-class ChargeBalanceError(RuntimeError):
-    """Accumulated charge failed to cancel; quadrature and shift disagree."""
 
 
 class HalfLineStageError(RuntimeError):
@@ -204,102 +192,6 @@ class FullLineProblem:
     E_a: float
     E_b: float
     step_side: Literal["left", "right", "none"]
-
-
-def _product_samples(a: Samples, b_values: np.ndarray) -> Samples:
-    """a * b for continuous b (jump sides scale by the shared node value)."""
-    return Samples(
-        a.grid,
-        a.values * b_values,
-        jumps={
-            j: (lo * b_values[j], hi * b_values[j])
-            for j, (lo, hi) in a.jumps.items()
-        },
-    )
-
-
-def _shifted_samples(a: Samples, c: float) -> Samples:
-    return Samples(
-        a.grid,
-        a.values - c,
-        jumps={j: (lo - c, hi - c) for j, (lo, hi) in a.jumps.items()},
-    )
-
-
-def energy_update(w: Samples, f_prev: Samples, phi_sq: Samples) -> float:
-    """Shift that zeroes the total charge: [w f_prev] / [f_prev]."""
-    if np.any(f_prev.values <= 0.0):
-        raise PositivityError("f_prev must be positive at every node")
-    num = bracket(_product_samples(w, f_prev.values), phi_sq)
-    den = bracket(f_prev, phi_sq)
-    if den <= 0.0:
-        raise ChargeBalanceError("[f_prev] must be positive")
-    if num == 0.0:
-        return 0.0
-    return num / den
-
-
-def displacement(
-    w: Samples, f_prev: Samples, phi_sq: Samples, E_shift: float
-) -> Samples:
-    """Plain cumulative of the charge density, for inspection.
-
-    D(x) = integral from the left edge of phi^2 (w - E_shift) f_prev. The
-    engine itself uses the scaled two-sided scans (whose stitched result
-    is exact at both ends); this literal form is the readable one and is
-    accurate wherever phi^2 is representable.
-    """
-    if phi_sq.kind == "log_amplitude":
-        L = phi_sq.values
-        ref = float(np.max(L))
-        weight = np.exp(2.0 * (L - ref)) * exp(2.0 * ref)
-    else:
-        weight = phi_sq.values
-        ref = None
-    sigma = _product_samples(_shifted_samples(w, E_shift), f_prev.values)
-    sigma = _product_samples(sigma, weight)
-    D = cumulative_from(sigma, "left")
-    peak = float(np.max(np.abs(D.values)))
-    if peak > 0.0 and abs(float(D.values[-1])) > 1e-8 * peak:
-        raise ChargeBalanceError(
-            f"D does not return to zero: end value {D.values[-1]:.3e} "
-            f"against peak {peak:.3e}; is E_shift from energy_update?"
-        )
-    return D
-
-
-def _ratio_from_plain(D: Samples, phi_sq: Samples) -> Samples:
-    """phi^{-2} D from a plain displacement field, guarded against 0*inf."""
-    if phi_sq.kind == "log_amplitude":
-        two_L = 2.0 * phi_sq.values
-    else:
-        with np.errstate(divide="ignore"):
-            two_L = np.log(phi_sq.values)
-    vals = D.values
-    out = np.zeros_like(vals)
-    nz = vals != 0.0
-    with np.errstate(over="ignore"):
-        out[nz] = np.sign(vals[nz]) * np.exp(
-            np.log(np.abs(vals[nz])) - two_L[nz]
-        )
-    return Samples(D.grid, out)
-
-
-def f_update_caseA(D: Samples, phi_sq: Samples) -> Samples:
-    """Integrate f' = -2 phi^{-2} D inward from the far edge, f(edge) = 1."""
-    R = _ratio_from_plain(D, phi_sq)
-    return Samples(D.grid, 1.0 - 2.0 * cumulative_from(R, "right").values)
-
-
-def f_update_caseB(D: Samples, phi_sq: Samples) -> Samples:
-    """Integrate f' = -2 phi^{-2} D outward from the origin, f(origin) = 1."""
-    R = _ratio_from_plain(D, phi_sq)
-    f = Samples(D.grid, 1.0 - 2.0 * cumulative_from(R, "left").values)
-    if np.any(f.values <= 0.0):
-        raise PositivityError(
-            "origin-anchored update went nonpositive (perturbation too large)"
-        )
-    return f
 
 
 def _segment_blocks(L_seg: np.ndarray) -> list[tuple[int, int]]:
@@ -690,29 +582,18 @@ def glue_full_line(
     log_chi = np.concatenate((log_chi_minus[::-1], log_chi_plus[1:]))
 
     V_full = np.concatenate((tminus.V.values[::-1], tplus.V.values[1:]))
-    j0 = full.index_of(0.0)
-    gap = E_a - E_b
-    w_vals = np.zeros(full.n_nodes)
-    jumps: dict[int, tuple[float, float]] = {}
-    if gap > 0.0:
-        w_vals[:j0] = gap
-        jumps = {j0: (gap, 0.0)}
-        step_side: str = "left"
-    elif gap < 0.0:
-        w_vals[j0 + 1 :] = -gap
-        jumps = {j0: (0.0, -gap)}
-        step_side = "right"
-    else:
-        step_side = "none"
+    w, step_side = _step_at_origin(full, E_a - E_b)
 
     chi = TrialFunction(
         grid=full,
         log_phi=Samples(full, log_chi, kind="log_amplitude"),
-        w=Samples(full, w_vals, jumps=jumps),
+        w=w,
         E0=max(E_a, E_b),
         V=Samples(full, V_full),
         domain_kind="full_line",
-        w_monotone_dir="decreasing_on_full_line" if gap >= 0.0 else "none",
+        w_monotone_dir=(
+            "none" if step_side == "right" else "decreasing_on_full_line"
+        ),
         label=f"glued({tplus.label}, {tminus.label})",
     )
     return FullLineProblem(
@@ -721,8 +602,28 @@ def glue_full_line(
         E_hat0=max(E_a, E_b),
         E_a=E_a,
         E_b=E_b,
-        step_side=step_side,  # type: ignore[arg-type]
+        step_side=step_side,
     )
+
+
+def _step_at_origin(
+    grid: Grid, gap: float
+) -> tuple[Samples, Literal["left", "right", "none"]]:
+    """Step perturbation of height |gap| at x = 0, and the side it lifts.
+
+    ``gap`` is the right channel's energy minus the left one's; the lower
+    channel's side carries the step, and the origin node holds both
+    one-sided values.
+    """
+    j0 = grid.index_of(0.0)
+    w_vals = np.zeros(grid.n_nodes)
+    if gap > 0.0:
+        w_vals[:j0] = gap
+        return Samples(grid, w_vals, jumps={j0: (gap, 0.0)}), "left"
+    if gap < 0.0:
+        w_vals[j0 + 1 :] = -gap
+        return Samples(grid, w_vals, jumps={j0: (0.0, -gap)}), "right"
+    return Samples(grid, w_vals), "none"
 
 
 def iterate_full_line(

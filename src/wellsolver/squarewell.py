@@ -56,9 +56,11 @@ import numpy as np
 
 from .grid import Grid, Samples, cumulative_from, integrate, make_grid, slice_grid
 from .hierarchy import (
+    Case,
     FullLineProblem,
     IterateOptions,
     IterationTrace,
+    _step_at_origin,
     iterate_full_line,
 )
 from .trialgen import TrialFunction
@@ -933,19 +935,11 @@ def build_squarewell_problem(m: SquareWellModel, grid: Grid) -> FullLineProblem:
     on the right; anchoring the iteration at the right wall then yields
     the monotone regime of the method.
     """
-    gap = m.E_gap
-    j0 = grid.index_of(0.0)
-    w_vals = np.zeros(grid.n_nodes)
-    jumps: dict[int, tuple[float, float]] = {}
-    step_side: Literal["left", "right", "none"] = "none"
-    if gap > 0.0:
-        w_vals[:j0] = gap
-        jumps = {j0: (gap, 0.0)}
-        step_side = "left"
+    w, step_side = _step_at_origin(grid, m.E_gap)
     chi = TrialFunction(
         grid=grid,
         log_phi=trial_log_samples(m, grid),
-        w=Samples(grid, w_vals, jumps=jumps),
+        w=w,
         E0=m.E_a,
         V=potential_samples(m, grid),
         domain_kind="full_line",
@@ -965,14 +959,16 @@ def build_squarewell_problem(m: SquareWellModel, grid: Grid) -> FullLineProblem:
 def iterate_squarewell(
     m: SquareWellModel,
     grid: Grid,
-    n_max: int = 64,
-    opts: IterateOptions | None = None,
+    opts: IterateOptions = IterateOptions(),
+    case: Case = "A",
 ) -> IterationTrace:
-    """Run the iteration engine on the analytic trial state."""
-    if opts is None:
-        opts = IterateOptions(max_iter=n_max)
-    problem = build_squarewell_problem(m, grid)
-    return iterate_full_line(problem, "at_plus_inf", opts)
+    """Run the iteration engine on the analytic trial state.
+
+    The step is on the left, so Case A anchors f at the right wall and
+    Case B at the left one.
+    """
+    boundary = "at_plus_inf" if case == "A" else "at_minus_inf"
+    return iterate_full_line(build_squarewell_problem(m, grid), boundary, opts)
 
 
 # ---------------------------------------------------------------------------

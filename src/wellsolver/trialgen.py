@@ -294,6 +294,8 @@ def build_symmetric_quartic_trial(g: float, grid: Grid) -> TrialFunction:
         raise ValueError("symmetric quartic trial needs g >= 1")
     if grid.x_min != 0.0:
         raise ValueError("symmetric quartic trial lives on the half line")
+    if grid.x_max < 1.0:
+        raise ValueError("half-line grid must reach the well at x = 1")
     j1 = grid.index_of(1.0)
     x = grid.nodes
     s0 = quartic_series(0.0).s0(x)

@@ -256,6 +256,154 @@ def test_oracle_solves_deep_even_double_wells(capsys, g):
     assert abs(json.loads(out)["E_ground"] - engine.E_limit) < 1e-5
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "sym_quartic", "--g", "2", "--x-max", "0.5"],
+        ["solve", "harmonic", "--g", "1e-300"],
+        ["oracle", "harmonic", "--g", "1e-300"],
+        ["solve", "sym_quartic", "--g", "1e300"],
+        ["oracle", "sym_quartic", "--g", "1e300"],
+    ],
+)
+def test_builds_the_grid_cannot_hold_are_config_errors(capsys, argv):
+    # the grid, trial or potential build rejects these; none may escape
+    # as a traceback with the verdict-failed exit code
+    rc, out, err = run(argv, capsys)
+    assert rc == cli.EXIT_CONFIG
+    assert out == "" and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error:")
+
+
+def test_grid_ending_at_the_well_still_solves(capsys):
+    # x = 1 is the last node: the trial's breakpoint is still on the grid
+    rc, _out, err = run(
+        ["solve", "sym_quartic", "--g", "2", "--x-max", "1.0",
+         "--grid-density", "150"],
+        capsys,
+    )
+    assert rc == cli.EXIT_OK, err
+    # the oracle needs no trial, so a grid short of the well stays valid
+    rc, _out, err = run(
+        ["oracle", "sym_quartic", "--g", "2", "--x-max", "0.5", "--levels", "1"],
+        capsys,
+    )
+    assert rc == cli.EXIT_OK, err
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["solve", "sym_quartic", "--g", "2", "--lam", "0.5", "--w", "3",
+          "--e-inf", "9"], ["--lam", "--w", "--e-inf"]),
+        (["oracle", "harmonic", "--g", "2", "--lam", "0.5", "--mu", "0.3"],
+         ["--lam", "--mu"]),
+        (["solve", "asym_quartic", "--g", "5", "--lam", "0.2", "--mu-sq", "1"],
+         ["--mu-sq"]),
+        (["oracle", "squarewell", "--w", "3", "--mu", "0.7", "--alpha", "1",
+          "--beta", "2", "--g", "2"], ["--g"]),
+    ],
+)
+def test_other_problems_parameter_flags_are_config_errors(capsys, argv, flags):
+    rc, out, err = run(argv, capsys)
+    assert rc == cli.EXIT_CONFIG
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert all(f in lines[0] for f in flags)
+
+
+_README_WELL = ["--w", "3", "--mu", "0.7071067811865476", "--alpha", "1",
+                "--beta", "2"]
+_TWO_LEVEL = ["--e-inf", "5", "--lam", "0.3", "--mu-sq", "0.8"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["squarewell", *_README_WELL, "--x-max", "0.2"],
+        ["oracle", "sym_quartic", "--g", "2", "--case", "B"],
+        ["oracle", "sym_quartic", "--g", "2", "--max-iter", "3"],
+        ["oracle", "sym_quartic", "--g", "2", "--tol-e", "1e-3"],
+        ["oracle", "sym_quartic", "--g", "2", "--tol-f", "1e-3"],
+        ["twolevel", *_TWO_LEVEL, "--case", "A"],
+        ["twolevel", *_TWO_LEVEL, "--grid-density", "100"],
+        ["twolevel", *_TWO_LEVEL, "--x-max", "3"],
+        ["twolevel", *_TWO_LEVEL, "--max-iter", "3"],
+        ["twolevel", *_TWO_LEVEL, "--tol-e", "1e-3"],
+        ["twolevel", *_TWO_LEVEL, "--tol-f", "1e-3"],
+    ],
+)
+def test_flags_a_verb_does_not_use_are_refused(capsys, argv):
+    rc, out, err = run(argv, capsys)
+    assert rc == cli.EXIT_CONFIG
+    assert out == ""
+    assert "unrecognized arguments: " + argv[-2] in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "squarewell", *_README_WELL, "--x-max", "0.2"],
+        ["oracle", "squarewell", *_README_WELL, "--x-max", "1"],
+    ],
+)
+def test_square_well_refuses_x_max(capsys, argv):
+    rc, out, err = run(argv, capsys)
+    assert rc == cli.EXIT_CONFIG
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert "x_max" in lines[0]
+
+
+def test_squarewell_verb_runs_case_b_like_solve(tmp_path, capsys):
+    # the step-anchored run on the README well trips the positivity guard,
+    # in the squarewell verb exactly as in solve squarewell
+    report_path, trace_path = tmp_path / "sw.json", tmp_path / "t.csv"
+    flags = [*_README_WELL, "--case", "B", "--grid-density", "200"]
+    rc, _out, err = run(
+        ["squarewell", *flags, "--format", "json", "--out", str(report_path)],
+        capsys,
+    )
+    assert rc == cli.EXIT_POSITIVITY
+    assert "positivity" in err
+    report = json.loads(report_path.read_text())
+    assert report["engine_stop_reason"] == "positivity_violation"
+    rc, _out, _err = run(["solve", "squarewell", *flags, "--out", str(trace_path)],
+                         capsys)
+    assert rc == cli.EXIT_POSITIVITY
+    doc = cli.read_trace(trace_path.read_text())
+    assert report["config_hash"] == doc["config_hash"]
+    assert report["engine_iterations"] == len(doc["rows"]) - 1
+    assert report["E_engine"] == doc["rows"][-1]["energy"]
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["twolevel", *_TWO_LEVEL, "--format", "json"],
+         cli.ExperimentConfig("two_level",
+                              {"E_inf": 5.0, "lam": 0.3, "mu_sq": 0.8})),
+        (["oracle", "sym_quartic", "--g", "2", "--levels", "1",
+          "--format", "json"],
+         cli.ExperimentConfig("sym_quartic", {"g": 2.0})),
+        (["squarewell", *_README_WELL, "--grid-density", "100", "--format",
+          "json"],
+         cli.ExperimentConfig(
+             "squarewell",
+             {"W": 3.0, "mu": 0.7071067811865476, "alpha": 1.0, "beta": 2.0},
+             grid=cli.GridSpec(density=100.0),
+         )),
+    ],
+)
+def test_reports_hash_the_defaults_of_flags_a_verb_lacks(capsys, argv, cfg):
+    rc, out, _err = run(argv, capsys)
+    assert rc == cli.EXIT_OK
+    assert json.loads(out)["config_hash"] == cli.config_hash(cfg)
+
+
 # E and E_od of this deep-tunneling well meet in floating point
 _UNRESOLVED_SPLIT = [
     "--w", "19.962159061873606", "--mu", "0.17050836184484658",
@@ -509,6 +657,37 @@ def test_sweep_partial_failure(tmp_path, capsys):
     assert statuses.count("error") == 1
     failed = next(p for p in manifest["points"] if p["status"] == "error")
     assert "tilt" in failed["error"]
+
+
+def test_sweep_refuses_square_well_x_max(tmp_path, capsys):
+    doc = sweep_doc(
+        base={
+            "problem": "squarewell",
+            "params": {"W": 3.0, "mu": 0.5, "alpha": 1.0, "beta": 2.0},
+            "grid": {"density": 100.0},
+        },
+        sweep={"grid.x_max": [None, 0.2]},
+    )
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(doc))
+    outdir = tmp_path / "out"
+    rc, _out, err = run(["sweep", "--config", str(cfg), "--outdir", str(outdir)],
+                        capsys)
+    assert rc == cli.EXIT_VERDICT
+    assert "1 converged, 1 failed" in err
+    points = json.loads((outdir / "manifest.json").read_text())["points"]
+    assert [p["status"] for p in points] == ["tolerance", "error"]
+    assert "x_max" in points[1]["error"]
+
+
+def test_sweep_point_overflow_is_recorded_not_raised(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(sweep_doc(sweep={"params.g": [2.0, 1e300]})))
+    outdir = tmp_path / "out"
+    rc, _out, err = run(["sweep", "--config", str(cfg), "--outdir", str(outdir)],
+                        capsys)
+    assert rc == cli.EXIT_VERDICT
+    assert "1 converged, 1 failed" in err
 
 
 def test_sweep_missing_config_file(tmp_path):

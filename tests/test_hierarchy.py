@@ -21,48 +21,51 @@ CAPPED = ws.IterateOptions(max_iter=6, tol_e=0.0, tol_f=0.0)
 
 
 def _toy(density=30.0):
+    """A plan for phi^2 = e^{-x}, w = -x^2 on [0, 1], and its inputs."""
     g = ws.make_grid((0.0, 1.0), density)
-    one = ws.Samples(g, np.ones(g.n_nodes))
     w = ws.Samples(g, -g.nodes**2)
     phi_sq = ws.Samples(g, np.exp(-g.nodes))
-    return g, one, w, phi_sq
+    trial = ws.TrialFunction(
+        grid=g,
+        log_phi=ws.Samples(g, -0.5 * g.nodes, kind="log_amplitude"),
+        w=w,
+        E0=1.0,
+        V=ws.Samples(g, np.zeros(g.n_nodes)),
+        domain_kind="half_line_even",
+        w_monotone_dir="decreasing_for_x_positive",
+    )
+    return hierarchy._make_plan(trial), np.ones(g.n_nodes), w, phi_sq
 
 
 # ---------------------------------------------------------------------------
-# update primitives
+# the iteration step
 
 
-def test_energy_update_zeroes_total_charge():
-    g, one, w, phi_sq = _toy()
-    shift = ws.energy_update(w, one, phi_sq)
-    charge = ws.bracket(ws.Samples(g, w.values - shift), phi_sq)
+def test_step_shift_zeroes_total_charge():
+    plan, one, w, phi_sq = _toy()
+    _num, _den, shift, _f = hierarchy._step(plan, one, "right")
+    charge = ws.bracket(ws.Samples(plan.grid, w.values - shift), phi_sq)
     assert abs(charge) < 1e-15 * abs(ws.bracket(w, phi_sq))
 
 
-def test_energy_update_rejects_nonpositive_f():
-    g, one, w, phi_sq = _toy()
-    bad = ws.Samples(g, one.values.copy())
-    bad.values[3] = 0.0
-    with pytest.raises(ws.PositivityError):
-        ws.energy_update(w, bad, phi_sq)
-
-
-def test_displacement_vanishes_at_far_edge():
-    g, one, w, phi_sq = _toy()
-    shift = ws.energy_update(w, one, phi_sq)
-    D = ws.displacement(w, one, phi_sq, shift)
+def test_step_displacement_vanishes_at_far_edge():
+    plan, one, w, phi_sq = _toy()
+    _num, _den, shift, _f = hierarchy._step(plan, one, "right")
+    sigma = ws.Samples(plan.grid, phi_sq.values * (w.values - shift))
+    D = ws.cumulative_from(sigma, "left")
     assert abs(D.values[-1]) < 1e-15
+    # the step's scans carry D / phi^2, zero at both ends by construction
+    R = plan.ratio((plan.w - shift) * one, {})
+    assert R[0] == 0.0 and R[-1] == 0.0
 
 
-def test_f_updates_anchor_their_own_edge():
-    g, one, w, phi_sq = _toy()
-    shift = ws.energy_update(w, one, phi_sq)
-    D = ws.displacement(w, one, phi_sq, shift)
-    fa = ws.f_update_caseA(D, phi_sq)
-    fb = ws.f_update_caseB(D, phi_sq)
-    assert fa.values[-1] == 1.0  # far edge
-    assert fb.values[0] == 1.0  # origin
-    assert not np.array_equal(fa.values, fb.values)
+def test_step_anchors_f_at_its_own_edge():
+    plan, one, _w, _phi_sq = _toy()
+    fa = hierarchy._step(plan, one, "right")[3]
+    fb = hierarchy._step(plan, one, "left")[3]
+    assert fa[-1] == 1.0  # far edge
+    assert fb[0] == 1.0  # origin
+    assert not np.array_equal(fa, fb)
 
 
 # ---------------------------------------------------------------------------
