@@ -33,7 +33,7 @@ def main() -> None:
         tplus, tminus = ws.build_asymmetric_quartic_trial(args.g, lam, grid)
         pair = ws.solve_half_line_pair(tplus, tminus)
         glued = ws.glue_full_line(pair, tplus, tminus)
-        trace = ws.iterate_full_line(glued, "at_plus_inf")
+        trace = ws.iterate_full_line(glued, "A")
         if not trace.converged:
             print(f"tilt {lam}: did not converge ({trace.stop_reason})",
                   file=sys.stderr)

@@ -93,7 +93,6 @@ from .squarewell import (
     wronskian_overlap_residuals,
 )
 from .trialgen import (
-    PerturbSeries,
     ResidualReport,
     TrialFunction,
     build_asymmetric_quartic_trial,
@@ -101,7 +100,6 @@ from .trialgen import (
     build_symmetric_quartic_trial,
     default_truncation,
     quartic_grid,
-    quartic_series,
     residual_check,
 )
 
@@ -172,7 +170,6 @@ __all__ = [
     "two_level_from_model",
     "wronskian_overlap_residuals",
     # trialgen
-    "PerturbSeries",
     "ResidualReport",
     "TrialFunction",
     "build_asymmetric_quartic_trial",
@@ -180,6 +177,5 @@ __all__ = [
     "build_symmetric_quartic_trial",
     "default_truncation",
     "quartic_grid",
-    "quartic_series",
     "residual_check",
 ]

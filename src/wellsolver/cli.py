@@ -75,7 +75,6 @@ from . import squarewell as sw
 __all__ = [
     "ConfigError",
     "GridSpec",
-    "EngineSpec",
     "ExperimentConfig",
     "config_hash",
     "validate_config",
@@ -140,36 +139,20 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class EngineSpec:
-    max_iter: int = 64
-    tol_e: float = 1e-10
-    tol_f: float = 1e-9
-
-    def options(self) -> IterateOptions:
-        return IterateOptions(
-            max_iter=self.max_iter, tol_e=self.tol_e, tol_f=self.tol_f
-        )
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     problem: str
     params: Mapping[str, float]
     case: str = "A"
     grid: GridSpec = field(default_factory=GridSpec)
-    engine: EngineSpec = field(default_factory=EngineSpec)
+    engine: IterateOptions = field(default_factory=IterateOptions)
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "problem": self.problem,
             "params": {k: float(v) for k, v in sorted(self.params.items())},
             "case": self.case,
-            "grid": {"density": self.grid.density, "x_max": self.grid.x_max},
-            "engine": {
-                "max_iter": self.engine.max_iter,
-                "tol_e": self.engine.tol_e,
-                "tol_f": self.engine.tol_f,
-            },
+            "grid": asdict(self.grid),
+            "engine": asdict(self.engine),
         }
 
 
@@ -215,19 +198,11 @@ class _Problem(NamedTuple):
     walls: bool = False
 
 
-def _full_line_boundary(step_side: str, case: str) -> str:
-    # Case A anchors the step-free side, Case B the step side.
-    if step_side == "right":
-        return "at_minus_inf" if case == "A" else "at_plus_inf"
-    return "at_plus_inf" if case == "A" else "at_minus_inf"
-
-
 def _run_glued(pair: Any, case: str, opts: IterateOptions) -> IterationTrace:
     tplus, tminus = pair
     half = solve_half_line_pair(tplus, tminus, opts)
     problem = glue_full_line(half, tplus, tminus)
-    boundary = _full_line_boundary(problem.step_side, case)
-    return iterate_full_line(problem, boundary, opts)  # type: ignore[arg-type]
+    return iterate_full_line(problem, case, opts)  # type: ignore[arg-type]
 
 
 def _harmonic_grid(p: _Params, spec: GridSpec) -> Grid:
@@ -248,10 +223,15 @@ def _sampled(
     return Samples(grid, v_func(grid.nodes)), v_func
 
 
+# Above this coupling the trial builders' 2 g (g - 1) (from g ~ 9.5e153) and
+# the potentials' g**2 (from g ~ 1.34e154) overflow float64.
+_G_MAX = 1e150
+_G_BOUND = (lambda p: p["g"] <= _G_MAX, f"g must be <= {_G_MAX:g}")
+
 _PROBLEMS: dict[str, _Problem] = {
     "harmonic": _Problem(
         params=("g",),
-        checks=((lambda p: p["g"] > 0, "g must be positive"),),
+        checks=((lambda p: p["g"] > 0, "g must be positive"), _G_BOUND),
         domain=_harmonic_grid,
         trial=lambda p, grid: build_harmonic_trial(p["g"], grid),
         run=lambda trial, case, opts: iterate(trial, case, opts),
@@ -260,7 +240,7 @@ _PROBLEMS: dict[str, _Problem] = {
     ),
     "sym_quartic": _Problem(
         params=("g",),
-        checks=((lambda p: p["g"] >= 1.0, "g must be >= 1"),),
+        checks=((lambda p: p["g"] >= 1.0, "g must be >= 1"), _G_BOUND),
         domain=lambda p, s: quartic_grid(p["g"], s.density, x_max=s.x_max),
         trial=lambda p, grid: build_symmetric_quartic_trial(p["g"], grid),
         run=lambda trial, case, opts: iterate(trial, case, opts),
@@ -274,6 +254,7 @@ _PROBLEMS: dict[str, _Problem] = {
         checks=(
             (lambda p: 0.0 <= p["lam"] < 1.0, "tilt must satisfy 0 <= lam < 1"),
             (lambda p: p["g"] > 1.0 + p["lam"], "need g > 1 + lam"),
+            _G_BOUND,
         ),
         domain=lambda p, s: quartic_grid(
             p["g"], s.density, x_max=s.x_max, full_line=True
@@ -386,7 +367,7 @@ def _build(cfg: ExperimentConfig, *parts: str) -> tuple[Any, ...]:
 def run_problem(cfg: ExperimentConfig) -> IterationTrace:
     """Build the configured problem and run the iteration engine on it."""
     _domain, trial = _build(cfg, "trial")
-    return _PROBLEMS[cfg.problem].run(trial, cfg.case, cfg.engine.options())
+    return _PROBLEMS[cfg.problem].run(trial, cfg.case, cfg.engine)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +595,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         problem=args.problem,
         params={k: getattr(args, k) for k in wanted},
         grid=GridSpec(**_given(args, ("density", "x_max"))),
-        engine=EngineSpec(**_given(args, ("max_iter", "tol_e", "tol_f"))),
+        engine=IterateOptions(**_given(args, ("max_iter", "tol_e", "tol_f"))),
         **_given(args, ("case",)),
     )
 
@@ -703,7 +684,7 @@ def cmd_squarewell(args: argparse.Namespace) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     spec = _PROBLEMS[cfg.problem]
-    trace = spec.run(well, cfg.case, cfg.engine.options())
+    trace = spec.run(well, cfg.case, cfg.engine)
     E_engine = trace.states[-1].E_n
 
     try:
@@ -873,19 +854,19 @@ def _config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
         return ExperimentConfig(
             problem=doc["problem"],
             params=dict(doc.get("params", {})),
-            case=doc.get("case", "A"),
+            case=doc.get("case", ExperimentConfig.case),
             grid=GridSpec(
-                density=float(grid_doc.get("density", 400.0)),
+                density=float(grid_doc.get("density", GridSpec.density)),
                 x_max=(
                     None
                     if grid_doc.get("x_max") is None
                     else float(grid_doc["x_max"])
                 ),
             ),
-            engine=EngineSpec(
-                max_iter=int(engine_doc.get("max_iter", 64)),
-                tol_e=float(engine_doc.get("tol_e", 1e-10)),
-                tol_f=float(engine_doc.get("tol_f", 1e-9)),
+            engine=IterateOptions(
+                max_iter=int(engine_doc.get("max_iter", IterateOptions.max_iter)),
+                tol_e=float(engine_doc.get("tol_e", IterateOptions.tol_e)),
+                tol_f=float(engine_doc.get("tol_f", IterateOptions.tol_f)),
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -1017,11 +998,11 @@ def _add_problem_flags(
         p.add_argument("--x-max", type=float, default=None, dest="x_max",
                        help="override the automatic domain truncation")
     if engine and any(s.run for s in specs):
-        p.add_argument("--max-iter", type=int, default=EngineSpec.max_iter,
+        p.add_argument("--max-iter", type=int, default=IterateOptions.max_iter,
                        dest="max_iter")
-        p.add_argument("--tol-e", type=float, default=EngineSpec.tol_e,
+        p.add_argument("--tol-e", type=float, default=IterateOptions.tol_e,
                        dest="tol_e", help="energy stop tolerance, relative to E0")
-        p.add_argument("--tol-f", type=float, default=EngineSpec.tol_f,
+        p.add_argument("--tol-f", type=float, default=IterateOptions.tol_f,
                        dest="tol_f",
                        help="absolute stop tolerance on max|f_n - f_{n-1}|")
     p.add_argument("--out", default=None,

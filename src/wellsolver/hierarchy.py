@@ -31,8 +31,11 @@ Two-stage full-line pipeline: solve the two half-line problems
 independently (Case A), glue chi = phi * f at the origin, and iterate on
 the full line where the leftover perturbation is a step of height
 |E_a - E_b| at the origin (``_step_at_origin``, shared with the analytic
-square well); ``iterate_full_line`` maps its boundary choice onto the
-same engine (the anchor on the step-free side plays Case A).
+square well). ``iterate_full_line`` takes the case: Case A anchors f at
+the step-free edge, Case B at the step's edge.
+
+Every trial reaching the engine has a monotone w, in either direction:
+``TrialFunction`` checks that once, when it is built.
 """
 
 from __future__ import annotations
@@ -184,11 +187,10 @@ class HalfLinePair:
 
 @dataclass(frozen=True, eq=False)
 class FullLineProblem:
-    """Glued second-stage problem: trial chi and the step perturbation."""
+    """Glued second-stage problem: trial chi, whose w is the step at the
+    origin, the two channel energies and the side the step lifts."""
 
     chi: TrialFunction
-    w_step: Samples
-    E_hat0: float
     E_a: float
     E_b: float
     step_side: Literal["left", "right", "none"]
@@ -215,13 +217,6 @@ def _segment_blocks(L_seg: np.ndarray) -> list[tuple[int, int]]:
         blocks.append((start, end))
         start = end
     return blocks
-
-
-def _left_applied(q: Samples) -> np.ndarray:
-    vals = q.values.copy()
-    for j, (lo, _hi) in q.jumps.items():
-        vals[j] = lo
-    return vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,21 +407,6 @@ def _make_plan(trial: TrialFunction) -> _Plan:
     )
 
 
-def _monotone_direction(w: Samples) -> Literal["dec", "inc", "flat", "none"]:
-    vals = _left_applied(w)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-    d = np.diff(vals)
-    dec = bool(np.all(d <= tol))
-    inc = bool(np.all(d >= -tol))
-    if dec and inc:
-        return "flat"
-    if dec:
-        return "dec"
-    if inc:
-        return "inc"
-    return "none"
-
-
 def _step(
     plan: _Plan, fv: np.ndarray, anchor: Anchor
 ) -> tuple[float, float, float, np.ndarray]:
@@ -452,9 +432,6 @@ def _run_engine(
     enforce_positivity: bool,
 ) -> IterationTrace:
     grid = trial.grid
-    w = trial.w
-    if _monotone_direction(w) == "none":
-        raise ValueError("engine needs a monotone perturbation on its domain")
     tol_e_abs = opts.tol_e * abs(trial.E0)
     plan = _make_plan(trial)
 
@@ -522,8 +499,6 @@ def iterate(
         raise ValueError("case must be 'A' or 'B'")
     if trial.domain_kind != "half_line_even":
         raise ValueError("iterate runs half-line trials; see iterate_full_line")
-    if trial.w_monotone_dir == "none":
-        raise ValueError("trial carries no verified monotone perturbation")
     anchor: Anchor = "right" if case == "A" else "left"
     return _run_engine(
         trial, case, anchor, opts, enforce_positivity=(case == "B")
@@ -591,19 +566,9 @@ def glue_full_line(
         E0=max(E_a, E_b),
         V=Samples(full, V_full),
         domain_kind="full_line",
-        w_monotone_dir=(
-            "none" if step_side == "right" else "decreasing_on_full_line"
-        ),
         label=f"glued({tplus.label}, {tminus.label})",
     )
-    return FullLineProblem(
-        chi=chi,
-        w_step=chi.w,
-        E_hat0=max(E_a, E_b),
-        E_a=E_a,
-        E_b=E_b,
-        step_side=step_side,
-    )
+    return FullLineProblem(chi=chi, E_a=E_a, E_b=E_b, step_side=step_side)
 
 
 def _step_at_origin(
@@ -628,23 +593,23 @@ def _step_at_origin(
 
 def iterate_full_line(
     p: FullLineProblem,
-    boundary: Literal["at_plus_inf", "at_minus_inf"],
+    case: Case,
     opts: IterateOptions = IterateOptions(),
 ) -> IterationTrace:
     """Second-stage recursion on the glued problem.
 
-    The anchor edge where f = 1 is held fixed decides the effective case:
-    anchoring on the step-free side reproduces the monotone Case-A
-    behavior, anchoring on the step side the alternating Case-B one. The
-    converged energy is E_hat0 - final shift.
+    Case A anchors f = 1 at the step-free edge (the monotone regime), Case
+    B at the step's edge (the alternating one). With no step, w is zero
+    and the run is Case A at the edge the requested case names: the right
+    one for A, the left one for B. The converged energy is chi.E0 minus
+    the final shift.
     """
-    anchor: Anchor = "right" if boundary == "at_plus_inf" else "left"
+    if case not in ("A", "B"):
+        raise ValueError("case must be 'A' or 'B'")
+    # a zero step is placed like a left one
+    anchor: Anchor = "right" if (case == "A") != (p.step_side == "right") else "left"
     if p.step_side == "none":
-        case: Case = "A"
-    elif p.step_side == "left":
-        case = "A" if anchor == "right" else "B"
-    else:
-        case = "A" if anchor == "left" else "B"
+        case = "A"
     return _run_engine(
         p.chi, case, anchor, opts, enforce_positivity=(case == "B")
     )

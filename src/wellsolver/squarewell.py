@@ -943,17 +943,9 @@ def build_squarewell_problem(m: SquareWellModel, grid: Grid) -> FullLineProblem:
         E0=m.E_a,
         V=potential_samples(m, grid),
         domain_kind="full_line",
-        w_monotone_dir="decreasing_on_full_line",
         label=f"squarewell(W={m.W:g}, mu={m.mu:g}, alpha={m.alpha:g}, beta={m.beta:g})",
     )
-    return FullLineProblem(
-        chi=chi,
-        w_step=chi.w,
-        E_hat0=m.E_a,
-        E_a=m.E_a,
-        E_b=m.E_b,
-        step_side=step_side,
-    )
+    return FullLineProblem(chi=chi, E_a=m.E_a, E_b=m.E_b, step_side=step_side)
 
 
 def iterate_squarewell(
@@ -967,8 +959,7 @@ def iterate_squarewell(
     The step is on the left, so Case A anchors f at the right wall and
     Case B at the left one.
     """
-    boundary = "at_plus_inf" if case == "A" else "at_minus_inf"
-    return iterate_full_line(build_squarewell_problem(m, grid), boundary, opts)
+    return iterate_full_line(build_squarewell_problem(m, grid), case, opts)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ x = 1 must be a grid breakpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import exp, log, log1p, sqrt
 from typing import Literal
 
@@ -26,10 +26,8 @@ import numpy as np
 from .grid import Grid, Samples, bracket, make_grid, mirror_grid, slice_grid
 
 __all__ = [
-    "PerturbSeries",
     "TrialFunction",
     "ResidualReport",
-    "quartic_series",
     "quartic_grid",
     "default_truncation",
     "build_harmonic_trial",
@@ -39,64 +37,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PerturbSeries:
-    """Leading terms of the large-g expansion behind the quartic trials.
-
-    ``s0``/``s1``/``s2`` are the cumulative exponent functions (phi ~
-    exp(-g*s0 - s1 - s2/g - ...)); ``e0_c``/``e1_c``/``e2_c`` the matching
-    energy coefficients (E ~ g*e0_c + e1_c + e2_c/g + ...). Orders beyond
-    the leading one are only known in closed form for the untilted case,
-    so they are None when ``lam`` is nonzero. Mirrored-side quantities are
-    obtained via :meth:`mirror` (tilt sign flip) or by evaluating ``s0``
-    at -x, which is exactly the reflected exponent.
-    """
-
-    lam: float
-    e0_c: float
-    e1_c: float | None
-    e2_c: float | None
-
-    def s0(self, x):
-        return (x - 1.0) ** 2 * (x + 2.0) / 3.0
-
-    def s1(self, x):
-        if self.lam == 0.0:
-            # log((1+x)/2): normalized so s1(1) = 0, phi-peak amplitude 1.
-            return np.log1p(x) - log(2.0)
-        return (1.0 + self.lam) * np.log1p(x)
-
-    def s2(self, x):
-        if self.lam != 0.0:
-            raise ValueError("second-order exponent known only for lam = 0")
-        return 3.0 / 16.0 - (x + 2.0) / (4.0 * (x + 1.0) ** 2)
-
-    def energy(self, g: float) -> float:
-        """Series estimate of the ground energy through the known orders."""
-        e = g * self.e0_c
-        if self.e1_c is not None:
-            e += self.e1_c
-        if self.e2_c is not None:
-            e += self.e2_c / g
-        return e
-
-    def mirror(self) -> "PerturbSeries":
-        return replace(
-            self,
-            lam=-self.lam,
-            e0_c=1.0 - self.lam,
-            e1_c=self.e1_c if self.lam == 0.0 else None,
-            e2_c=self.e2_c if self.lam == 0.0 else None,
-        )
-
-
-def quartic_series(lam: float = 0.0) -> PerturbSeries:
-    """Expansion data for the (optionally tilted) quartic double well."""
-    if not 0.0 <= lam < 1.0:
-        raise ValueError("tilt must satisfy 0 <= lam < 1")
-    if lam == 0.0:
-        return PerturbSeries(lam=0.0, e0_c=1.0, e1_c=-0.25, e2_c=-9.0 / 64.0)
-    return PerturbSeries(lam=lam, e0_c=1.0 + lam, e1_c=None, e2_c=None)
+def _s0(x):
+    """Leading large-g exponent of the quartic trials: phi ~ exp(-g * s0)."""
+    return (x - 1.0) ** 2 * (x + 2.0) / 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +50,9 @@ class TrialFunction:
     ``w`` = U - V may carry jump samples at breakpoints; ``E0`` satisfies
     (-1/2 d2/dx2 + V + w) phi = E0 phi. ``domain_kind`` distinguishes
     half-line problems with a reflecting origin (phi'(0) = 0) from genuine
-    full-line ones. ``w_monotone_dir`` records which monotonicity the
-    builder verified on the samples.
+    full-line ones. Construction raises ValueError unless w is monotone,
+    in either direction, which is what the iteration's convergence proof
+    consumes.
     """
 
     grid: Grid
@@ -117,34 +61,22 @@ class TrialFunction:
     E0: float
     V: Samples
     domain_kind: Literal["half_line_even", "full_line"]
-    w_monotone_dir: Literal[
-        "decreasing_for_x_positive", "decreasing_on_full_line", "none"
-    ]
     label: str = ""
 
-    @property
-    def w_sup(self) -> float:
-        """Supremum of w over the domain, the bound for all energy shifts.
-
-        For the monotone half-line trials this is w(0); for step
-        perturbations it is the step height.
-        """
-        top = float(np.max(self.w.values))
-        for lo, hi in self.w.jumps.values():
-            top = max(top, lo, hi)
-        return top
-
-    def with_reference_shift(self, c: float) -> "TrialFunction":
-        """Shift the energy reference: V -> V - c, E0 -> E0 - c.
-
-        Realizes the optional "zero the minimum of U" normalization without
-        touching w (whose decay to 0 the iteration relies on).
-        """
-        return replace(
-            self,
-            V=self.V.with_values(self.V.values - c),
-            E0=self.E0 - c,
-        )
+    def __post_init__(self) -> None:
+        vals = self.w.values.copy()
+        for j, (lo, _hi) in self.w.jumps.items():
+            vals[j] = lo  # compare each node by its left-side value
+        d = np.diff(vals)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+        # w's endpoints set the trend; a NaN breaks either one
+        bad = ~(d >= -tol) if vals[-1] > vals[0] else ~(d <= tol)
+        if bad.any():
+            x = float(self.grid.nodes[int(np.argmax(bad))])
+            raise ValueError(
+                f"w of {self.label or 'the trial'} is not monotone; "
+                f"first offending node at x = {x:.6g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -199,27 +131,8 @@ def build_harmonic_trial(g: float, grid: Grid) -> TrialFunction:
         E0=0.5 * g,
         V=Samples(grid, 0.5 * g**2 * x**2),
         domain_kind="half_line_even" if grid.x_min == 0.0 else "full_line",
-        # w == 0 is (weakly) decreasing; the engine tolerates equality.
-        w_monotone_dir="decreasing_for_x_positive",
         label=f"harmonic(g={g:g})",
     )
-
-
-def _require_nonincreasing(
-    w: Samples, name: str, coordinate_sign: float = 1.0
-) -> None:
-    vals = w.values.copy()
-    for j, (lo, _hi) in w.jumps.items():
-        vals[j] = lo  # compare each node against its left-side value
-    diffs = np.diff(vals)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-    bad = np.nonzero(diffs > tol)[0]
-    if bad.size:
-        xs = coordinate_sign * w.grid.nodes[bad][:5]
-        raise ValueError(
-            f"{name} is not monotone decreasing; first offending nodes at "
-            f"x = {np.array2string(xs, precision=6)}"
-        )
 
 
 def _half_quartic_trial(g: float, lam: float, grid: Grid) -> TrialFunction:
@@ -233,12 +146,9 @@ def _half_quartic_trial(g: float, lam: float, grid: Grid) -> TrialFunction:
     """
     if grid.x_min != 0.0:
         raise ValueError("half-line trial needs a grid starting at 0")
-    series = quartic_series(abs(lam))
-    if lam < 0:
-        series = series.mirror()
     j1 = grid.index_of(1.0)
     x = grid.nodes
-    s0 = series.s0(x)
+    s0 = _s0(x)
     big = g + 1.0 + lam
     small = g - 1.0 - lam
     ratio = small / big
@@ -268,9 +178,6 @@ def _half_quartic_trial(g: float, lam: float, grid: Grid) -> TrialFunction:
     w = Samples(grid, w_vals, jumps=jumps)
 
     side = "+" if lam >= 0 else "-"
-    _require_nonincreasing(
-        w, f"quartic perturbation v{side}", coordinate_sign=1.0 if lam >= 0 else -1.0
-    )
     return TrialFunction(
         grid=grid,
         log_phi=Samples(grid, log_phi, kind="log_amplitude"),
@@ -278,7 +185,6 @@ def _half_quartic_trial(g: float, lam: float, grid: Grid) -> TrialFunction:
         E0=g * (1.0 + lam),
         V=Samples(grid, 0.5 * g**2 * (x**2 - 1.0) ** 2 + g * lam * x),
         domain_kind="half_line_even",
-        w_monotone_dir="decreasing_for_x_positive",
         label=f"asym_quartic{side}(g={g:g}, lam={abs(lam):g})",
     )
 
@@ -298,7 +204,7 @@ def build_symmetric_quartic_trial(g: float, grid: Grid) -> TrialFunction:
         raise ValueError("half-line grid must reach the well at x = 1")
     j1 = grid.index_of(1.0)
     x = grid.nodes
-    s0 = quartic_series(0.0).s0(x)
+    s0 = _s0(x)
     c = (g - 1.0) / (g + 1.0)
     t_at_1 = exp(-4.0 * g / 3.0)
 
@@ -319,7 +225,6 @@ def build_symmetric_quartic_trial(g: float, grid: Grid) -> TrialFunction:
     if ghat_at_1_left != 0.0:
         jumps = {j1: (u[j1] + ghat_at_1_left, u[j1])}
     w = Samples(grid, w_vals, jumps=jumps)
-    _require_nonincreasing(w, "symmetric quartic perturbation w")
 
     return TrialFunction(
         grid=grid,
@@ -328,7 +233,6 @@ def build_symmetric_quartic_trial(g: float, grid: Grid) -> TrialFunction:
         E0=g,
         V=Samples(grid, 0.5 * g**2 * (x**2 - 1.0) ** 2),
         domain_kind="half_line_even",
-        w_monotone_dir="decreasing_for_x_positive",
         label=f"sym_quartic(g={g:g})",
     )
 

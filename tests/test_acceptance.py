@@ -56,7 +56,7 @@ def converged_runs():
     )
     pair = ws.solve_half_line_pair(tplus, tminus)
     glued = ws.glue_full_line(pair, tplus, tminus)
-    asym = ws.iterate_full_line(glued, "at_plus_inf")
+    asym = ws.iterate_full_line(glued, "A")
     return {"sym": (sym_trial, sym), "asym": (glued, asym, pair)}
 
 

@@ -8,13 +8,17 @@ tests exercise plumbing, not numerical accuracy.
 from __future__ import annotations
 
 import filecmp
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wellsolver import (
     build_symmetric_quartic_trial,
@@ -228,6 +232,89 @@ def test_unsupported_asym_trial_is_config_error(capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("config error:") and "not monotone" in err
+    # the trial's label and one plain node, not an array
+    assert "asym_quartic-(g=4, lam=0.85)" in err and "x = 0\n" in err
+    assert "[" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("g", ["1e154", "1e300"])
+@pytest.mark.parametrize(
+    "problem", [["harmonic"], ["sym_quartic"], ["asym_quartic", "--lam", "0.2"]]
+)
+def test_coupling_beyond_float_range_is_one_line(capsys, problem, g):
+    # 1e154 overflows the trials' 2 g (g - 1) but not g * g; the bound is
+    # checked before any array is built
+    rc, out, err = run(["solve", *problem, "--g", g], capsys)
+    assert rc == cli.EXIT_CONFIG and out == ""
+    assert err == f"config error: {problem[0]}: g must be <= 1e+150\n"
+
+
+# Parameter boxes of the engine's problems; the square well's mu is drawn
+# as a fraction of W.
+_BOXES = {
+    "harmonic": {"g": (0.05, 100.0)},
+    "sym_quartic": {"g": (1.0, 40.0)},
+    "asym_quartic": {"g": (2.0, 20.0), "lam": (0.0, 0.95)},
+    "squarewell": {
+        "w": (1.0, 8.0), "mu": (0.0, 1.0), "alpha": (0.5, 8.0), "beta": (0.5, 8.0)
+    },
+}
+
+
+@st.composite
+def _solve_argv(draw):
+    problem = draw(st.sampled_from(sorted(_BOXES)))
+    p = {
+        k: draw(st.floats(lo, hi, exclude_max=True))
+        for k, (lo, hi) in _BOXES[problem].items()
+    }
+    if problem == "squarewell":
+        p["mu"] *= p["w"]
+    density = draw(st.sampled_from([25, 50, 100, 200, 400]))
+    case = draw(st.sampled_from("AB"))
+    flags = [t for k, v in p.items() for t in (f"--{k}", repr(v))]
+    return ["solve", problem, *flags, "--grid-density", str(density), "--case", case]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(argv=_solve_argv())
+def test_every_solve_ends_in_one_documented_line(argv):
+    # certified or a documented exit, each with one stderr line
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(argv)
+    assert 0 <= rc <= 6
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    assert "Traceback" not in lines[0] and "RuntimeWarning" not in lines[0]
+
+
+@pytest.mark.parametrize("case", ["A", "B"])
+@pytest.mark.parametrize(
+    "params, step",
+    [
+        (["asym_quartic", "--g", "4", "--lam", "0.2"], True),
+        (["asym_quartic", "--g", "4", "--lam", "0"], False),
+        (["squarewell", "--w", "3", "--mu", "0.7", "--alpha", "1", "--beta", "2"],
+         True),
+        (["squarewell", "--w", "3", "--mu", "0", "--alpha", "1", "--beta", "2"],
+         False),
+    ],
+)
+def test_full_line_case_names_the_anchor(capsys, params, step, case):
+    # Case A anchors the step-free (right) edge, Case B the step's (left)
+    # one; without a step the run is Case A at the edge the case names
+    _rc, out, _err = run(["solve", *params, "--case", case,
+                          "--grid-density", "200"], capsys)
+    head = " ".join(out.splitlines()[1:3])
+    if case == "A":
+        want = "case=A anchor=right", "stop_reason=tolerance"
+    elif step:
+        want = "case=B anchor=left", "stop_reason=positivity_violation"
+    else:
+        want = "case=A anchor=left", "stop_reason=tolerance"
+    assert all(w in head for w in want), head
 
 
 def test_oracle_eigensolve_failure_has_its_own_exit_code(capsys):
@@ -266,6 +353,7 @@ def test_oracle_solves_deep_even_double_wells(capsys, g):
         ["oracle", "sym_quartic", "--g", "1e300"],
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_builds_the_grid_cannot_hold_are_config_errors(capsys, argv):
     # the grid, trial or potential build rejects these; none may escape
     # as a traceback with the verdict-failed exit code
@@ -680,6 +768,7 @@ def test_sweep_refuses_square_well_x_max(tmp_path, capsys):
     assert "x_max" in points[1]["error"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_point_overflow_is_recorded_not_raised(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(sweep_doc(sweep={"params.g": [2.0, 1e300]})))

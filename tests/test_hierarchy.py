@@ -32,7 +32,6 @@ def _toy(density=30.0):
         E0=1.0,
         V=ws.Samples(g, np.zeros(g.n_nodes)),
         domain_kind="half_line_even",
-        w_monotone_dir="decreasing_for_x_positive",
     )
     return hierarchy._make_plan(trial), np.ones(g.n_nodes), w, phi_sq
 
@@ -84,11 +83,8 @@ def test_iterate_rejects_non_monotone_perturbation():
     t = ws.build_symmetric_quartic_trial(2.0, ws.quartic_grid(2.0, 40.0))
     bumpy = t.w.values.copy()
     bumpy[10] += 1.0
-    bad = dataclasses.replace(
-        t, w=ws.Samples(t.grid, bumpy), w_monotone_dir="decreasing_for_x_positive"
-    )
     with pytest.raises(ValueError, match="monotone"):
-        ws.iterate(bad, "A", CAPPED)
+        dataclasses.replace(t, w=ws.Samples(t.grid, bumpy))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +281,6 @@ def test_plan_ratio_matches_plain_cumulatives(shift):
         E0=1.0,
         V=ws.Samples(grid, np.zeros_like(x)),
         domain_kind="half_line_even",
-        w_monotone_dir="decreasing_for_x_positive",
     )
     plan = hierarchy._make_plan(trial)
     assert sum(b.j1 <= j for b in plan.blocks) == 3
@@ -376,12 +371,12 @@ def test_glue_exposes_channel_data(glued_problem):
     p, half = glued_problem
     assert p.E_a == half.E_plus
     assert p.E_b == half.E_minus
-    assert p.E_hat0 == max(half.E_plus, half.E_minus)
+    assert p.chi.E0 == max(half.E_plus, half.E_minus)
     assert p.step_side == "left"  # the shallower channel carries the step
-    x = p.w_step.grid.nodes
+    x = p.chi.w.grid.nodes
     gap = half.E_plus - half.E_minus
-    assert np.allclose(p.w_step.values[x < -1e-9], gap, rtol=1e-12)
-    assert np.all(p.w_step.values[x > 1e-9] == 0.0)
+    assert np.allclose(p.chi.w.values[x < -1e-9], gap, rtol=1e-12)
+    assert np.all(p.chi.w.values[x > 1e-9] == 0.0)
 
 
 def test_both_boundaries_converge_to_one_energy():
@@ -391,8 +386,8 @@ def test_both_boundaries_converge_to_one_energy():
     tp, tm = ws.build_asymmetric_quartic_trial(5.0, 0.005, grid)
     half = ws.solve_half_line_pair(tp, tm)
     p = ws.glue_full_line(half, tp, tm)
-    tr_a = ws.iterate_full_line(p, "at_plus_inf")
-    tr_b = ws.iterate_full_line(p, "at_minus_inf")
+    tr_a = ws.iterate_full_line(p, "A")
+    tr_b = ws.iterate_full_line(p, "B")
     assert tr_a.case == "A"
     assert tr_b.case == "B"
     assert tr_a.converged and tr_b.converged
@@ -404,12 +399,38 @@ def test_both_boundaries_converge_to_one_energy():
 
 def test_step_anchor_stops_on_positivity_for_large_steps(glued_problem):
     p, _half = glued_problem
-    tr_b = ws.iterate_full_line(p, "at_minus_inf")
+    tr_b = ws.iterate_full_line(p, "B")
     assert not tr_b.converged
     assert tr_b.stop_reason == "positivity_violation"
     # the step-free anchor still converges on the same problem
-    tr_a = ws.iterate_full_line(p, "at_plus_inf")
+    tr_a = ws.iterate_full_line(p, "A")
     assert tr_a.converged
+
+
+def test_right_step_anchors_mirror_the_left_step():
+    # swapping the channels puts the step on the right: Case A then
+    # anchors the left edge, Case B the right one, and the limit is the
+    # left-step problem's
+    grid = ws.quartic_grid(5.0, 400.0, full_line=True)
+    tp, tm = ws.build_asymmetric_quartic_trial(5.0, 0.2, grid)
+    half = ws.solve_half_line_pair(tp, tm)
+    swapped = ws.HalfLinePair(
+        E_plus=half.E_minus,
+        f_plus=half.f_minus,
+        E_minus=half.E_plus,
+        f_minus=half.f_plus,
+        trace_plus=half.trace_minus,
+        trace_minus=half.trace_plus,
+    )
+    right = ws.glue_full_line(swapped, tm, tp)
+    assert right.step_side == "right"
+    tr_a = ws.iterate_full_line(right, "A")
+    tr_b = ws.iterate_full_line(right, "B")
+    assert (tr_a.case, tr_a.anchor) == ("A", "left")
+    assert (tr_b.case, tr_b.anchor) == ("B", "right")
+    left = ws.iterate_full_line(ws.glue_full_line(half, tp, tm), "A")
+    assert tr_a.converged and left.converged
+    assert abs(tr_a.E_limit - left.E_limit) < 1e-10
 
 
 # ---------------------------------------------------------------------------

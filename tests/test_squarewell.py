@@ -270,7 +270,7 @@ def test_problem_packaging_matches_channels(moderate_model, moderate_grid):
     p = ws.build_squarewell_problem(m, moderate_grid)
     assert math.isclose(p.E_a, m.E_a, rel_tol=1e-12)
     assert math.isclose(p.E_b, m.E_b, rel_tol=1e-12)
-    assert p.E_hat0 == max(p.E_a, p.E_b)
+    assert p.chi.E0 == max(p.E_a, p.E_b)
     assert p.step_side == "left"
 
 

@@ -29,8 +29,7 @@ def test_symmetric_quartic_trial_shape():
     t = ws.build_symmetric_quartic_trial(2.0, g)
     assert t.E0 == 2.0
     assert t.domain_kind == "half_line_even"
-    assert t.w_monotone_dir == "decreasing_for_x_positive"
-    assert t.w_sup == t.E0
+    assert np.max(t.w.values) == t.E0
     # perturbation decreasing away from the origin on the half line
     assert np.all(np.diff(t.w.values) <= 1e-12)
 
@@ -78,16 +77,6 @@ def test_default_truncation_is_tail_safe():
         L = t.log_phi.values
         assert L[-1] - L.max() < math.log(1e-12)
         assert grid.x_max == ws.default_truncation(g)
-
-
-def test_quartic_series_fixed_coefficients():
-    s = ws.quartic_series(0.0)
-    assert (s.e0_c, s.e1_c, s.e2_c) == (1.0, -0.25, -9.0 / 64.0)
-    tilted = ws.quartic_series(0.2)
-    assert tilted.e0_c == 1.2
-    assert tilted.e1_c is None and tilted.e2_c is None
-    with pytest.raises(ValueError, match="tilt"):
-        ws.quartic_series(1.0)
 
 
 def test_residual_check_reports_location():
