@@ -11,6 +11,8 @@ Exit codes, shared by every verb:
   the problem); the trace up to that iteration is still written
 * 6 - the oracle's eigensolve failed: its Sturm counts did not isolate
   the level, or its ground state changes sign (``oracle``, ``squarewell``)
+* 7 - internal error: an exception no verb expects, reported as one line
+  ``internal error: <Type>: <message>`` (a defect, not a bad input)
 
 Each problem is defined once, in the ``_PROBLEMS`` registry: its
 parameters and their ranges, its grid, its engine pipeline, its cases and
@@ -30,6 +32,15 @@ Traces are CSV by default (``--format json`` for the same rows as JSON).
 The CSV starts with ``# trace-v1 config=<sha256>`` so a report can always
 be matched to the exact configuration that produced it; identical configs
 produce byte-identical files (no timestamps, floats at full precision).
+
+What a cold process loads follows its verb. This module imports the
+standard library and :mod:`wellsolver.ordering` only; ``grid``,
+``trialgen``, ``hierarchy``, ``oracle`` and ``squarewell`` (and numpy with
+them) are imported when a verb first calls into them. So ``certify`` runs
+without numpy; ``solve`` and ``sweep`` of ``harmonic`` or ``sym_quartic``
+load ``grid``, ``trialgen`` and ``hierarchy``; a square-well ``solve`` or
+``sweep``, and ``twolevel``, add ``squarewell`` (and ``fractions``); only
+the ``squarewell`` and ``oracle`` verbs load ``oracle``.
 """
 
 from __future__ import annotations
@@ -42,35 +53,43 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from importlib import import_module
 from itertools import product
 from math import isfinite, sqrt
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
 
-import numpy as np
+from .ordering import IterateOptions, PairVerdict, _floor, certify_shift_sequence
 
-from .grid import Grid, Samples, make_grid
-from .hierarchy import (
-    CertificationReport,
-    HalfLineStageError,
-    IterateOptions,
-    IterationTrace,
-    PairVerdict,
-    certify,
-    certify_shift_sequence,
-    glue_full_line,
-    iterate,
-    iterate_full_line,
-    solve_half_line_pair,
-)
-from .oracle import EigensolveError, fd_ground_state
-from .trialgen import (
-    build_asymmetric_quartic_trial,
-    build_harmonic_trial,
-    build_symmetric_quartic_trial,
-    quartic_grid,
-)
-from . import squarewell as sw
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .grid import Grid, Samples
+    from .hierarchy import IterationTrace
+    from .squarewell import SquareWellModel
+
+
+class _Lazy:
+    """A package module, imported on the first lookup of one of its names.
+
+    Every lookup goes to the module itself when the call is made, so a
+    wrapper set on one of its attributes sees every call a verb makes.
+    """
+
+    __slots__ = ("_name",)
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+
+    def __getattr__(self, attr: str) -> Any:
+        return getattr(import_module(f"{__package__}.{self._name}"), attr)
+
+
+grids = _Lazy("grid")
+trialgen = _Lazy("trialgen")
+hierarchy = _Lazy("hierarchy")
+oracle = _Lazy("oracle")
+sw = _Lazy("squarewell")
 
 __all__ = [
     "ConfigError",
@@ -92,6 +111,7 @@ EXIT_MAX_ITER = 3
 EXIT_CONFIG = 4
 EXIT_NONFINITE = 5
 EXIT_EIGENSOLVE = 6
+EXIT_INTERNAL = 7
 
 # Engine stop reasons other than "tolerance": exit code and stderr line.
 _STOP_EXITS = {
@@ -164,9 +184,8 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # problem registry
 #
-# Entries reach package functions through this module's global names (and
-# ``sw.``) inside lambdas and helpers, looked up at call time, so anything
-# wrapped at a module attribute sees every call a verb makes.
+# Entries reach package functions through the lazy modules above, inside
+# lambdas and helpers, so a problem's modules load when it is built.
 
 _Params = Mapping[str, float]
 
@@ -200,17 +219,17 @@ class _Problem(NamedTuple):
 
 def _run_glued(pair: Any, case: str, opts: IterateOptions) -> IterationTrace:
     tplus, tminus = pair
-    half = solve_half_line_pair(tplus, tminus, opts)
-    problem = glue_full_line(half, tplus, tminus)
-    return iterate_full_line(problem, case, opts)  # type: ignore[arg-type]
+    half = hierarchy.solve_half_line_pair(tplus, tminus, opts)
+    problem = hierarchy.glue_full_line(half, tplus, tminus)
+    return hierarchy.iterate_full_line(problem, case, opts)
 
 
 def _harmonic_grid(p: _Params, spec: GridSpec) -> Grid:
     x_max = spec.x_max if spec.x_max is not None else 8.0 / sqrt(p["g"])
-    return make_grid((0.0, x_max), spec.density)
+    return grids.make_grid((0.0, x_max), spec.density)
 
 
-def _well(p: _Params, spec: GridSpec) -> tuple[sw.SquareWellModel, Grid]:
+def _well(p: _Params, spec: GridSpec) -> tuple[SquareWellModel, Grid]:
     model = sw.solve_asymmetric(p["W"], p["mu"], p["alpha"], p["beta"])
     return model, sw.squarewell_grid(model, spec.density)
 
@@ -220,7 +239,7 @@ def _sampled(
 ) -> tuple[Samples, Any]:
     """Oracle potential V(x) = v(p, x) on the grid, and V for refined grids."""
     v_func = partial(v, p)
-    return Samples(grid, v_func(grid.nodes)), v_func
+    return grids.Samples(grid, v_func(grid.nodes)), v_func
 
 
 # Above this coupling the trial builders' 2 g (g - 1) (from g ~ 9.5e153) and
@@ -233,17 +252,17 @@ _PROBLEMS: dict[str, _Problem] = {
         params=("g",),
         checks=((lambda p: p["g"] > 0, "g must be positive"), _G_BOUND),
         domain=_harmonic_grid,
-        trial=lambda p, grid: build_harmonic_trial(p["g"], grid),
-        run=lambda trial, case, opts: iterate(trial, case, opts),
+        trial=lambda p, grid: trialgen.build_harmonic_trial(p["g"], grid),
+        run=lambda trial, case, opts: hierarchy.iterate(trial, case, opts),
         potential=partial(_sampled, lambda p, x: 0.5 * p["g"] ** 2 * x**2),
         reflecting=True,
     ),
     "sym_quartic": _Problem(
         params=("g",),
         checks=((lambda p: p["g"] >= 1.0, "g must be >= 1"), _G_BOUND),
-        domain=lambda p, s: quartic_grid(p["g"], s.density, x_max=s.x_max),
-        trial=lambda p, grid: build_symmetric_quartic_trial(p["g"], grid),
-        run=lambda trial, case, opts: iterate(trial, case, opts),
+        domain=lambda p, s: trialgen.quartic_grid(p["g"], s.density, x_max=s.x_max),
+        trial=lambda p, grid: trialgen.build_symmetric_quartic_trial(p["g"], grid),
+        run=lambda trial, case, opts: hierarchy.iterate(trial, case, opts),
         potential=partial(
             _sampled, lambda p, x: 0.5 * p["g"] ** 2 * (x**2 - 1.0) ** 2
         ),
@@ -256,10 +275,12 @@ _PROBLEMS: dict[str, _Problem] = {
             (lambda p: p["g"] > 1.0 + p["lam"], "need g > 1 + lam"),
             _G_BOUND,
         ),
-        domain=lambda p, s: quartic_grid(
+        domain=lambda p, s: trialgen.quartic_grid(
             p["g"], s.density, x_max=s.x_max, full_line=True
         ),
-        trial=lambda p, grid: build_asymmetric_quartic_trial(p["g"], p["lam"], grid),
+        trial=lambda p, grid: trialgen.build_asymmetric_quartic_trial(
+            p["g"], p["lam"], grid
+        ),
         run=_run_glued,
         potential=partial(
             _sampled,
@@ -381,7 +402,7 @@ def _trace_rows(trace: IterationTrace) -> list[dict[str, float]]:
     rows = []
     prev = None
     for s in trace.states:
-        step = 0.0 if prev is None else float(np.max(np.abs(s.f.values - prev)))
+        step = 0.0 if prev is None else float(abs(s.f.values - prev).max())
         rows.append(
             {
                 "n": s.n,
@@ -535,11 +556,9 @@ def certify_trace_file(doc: Mapping[str, Any]) -> dict[str, Any]:
             vals = [float(r[col]) for r in rows]
             for i in range(len(vals) - 1):
                 margin = vals[i + 1] - vals[i]
-                floor = 1e-13 * max(abs(vals[i]), abs(vals[i + 1]), 1e-300)
+                fl = _floor(vals[i], vals[i + 1])
                 f_verdicts.append(
-                    PairVerdict(
-                        f"{col}_ascending", (i, i + 1), margin, margin > -floor
-                    )
+                    PairVerdict(f"{col}_ascending", (i, i + 1), margin, margin > -fl)
                 )
     verdicts = [*energy, *cross, *f_verdicts]
     ok = all(v.ok for v in verdicts)
@@ -623,7 +642,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except HalfLineStageError as exc:
+    except hierarchy.HalfLineStageError as exc:
         return _stop_exit(exc.stop_reason, f"half-line stage '{exc.label}' ")
     try:
         _emit(write_trace(trace, cfg, args.format), args.out)
@@ -633,7 +652,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     code = _stop_exit(trace.stop_reason)
     if code != EXIT_OK:
         return code
-    report = certify(trace)
+    report = hierarchy.certify(trace)
     if not report.ok:
         print(
             f"converged but certification failed (worst margin "
@@ -688,10 +707,10 @@ def cmd_squarewell(args: argparse.Namespace) -> int:
     E_engine = trace.states[-1].E_n
 
     try:
-        oracle = fd_ground_state(
+        fd = oracle.fd_ground_state(
             V, v_func=v_func, mirror_even=spec.reflecting, levels=2
         )
-    except EigensolveError as exc:
+    except oracle.EigensolveError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_EIGENSOLVE
 
@@ -715,13 +734,13 @@ def cmd_squarewell(args: argparse.Namespace) -> int:
         },
         "E_transcendental": E_t,
         "E_engine": E_engine,
-        "E_oracle": oracle.E_ground,
+        "E_oracle": fd.E_ground,
         "E_two_level": tl.E,
         "E_overlap_route": model.E_a - shift,
         "engine_stop_reason": trace.stop_reason,
         "engine_iterations": len(trace.states) - 1,
         "diff_engine": E_engine - E_t,
-        "diff_oracle": oracle.E_ground - E_t,
+        "diff_oracle": fd.E_ground - E_t,
         "diff_two_level": tl.E - E_t,
         "diff_overlap_route": (model.E_a - shift) - E_t,
     }
@@ -737,7 +756,7 @@ def cmd_squarewell(args: argparse.Namespace) -> int:
         f"  {'route':<18}{'E':>24}{'diff vs transcendental':>26}",
         f"  {'transcendental':<18}{_fmt(E_t):>24}{'':>26}",
         f"  {'engine':<18}{_fmt(E_engine):>24}{_fmt(report['diff_engine']):>26}",
-        f"  {'oracle':<18}{_fmt(oracle.E_ground):>24}{_fmt(report['diff_oracle']):>26}",
+        f"  {'oracle':<18}{_fmt(fd.E_ground):>24}{_fmt(report['diff_oracle']):>26}",
         f"  {'two-level':<18}{_fmt(tl.E):>24}{_fmt(report['diff_two_level']):>26}",
         f"  {'overlap ratio':<18}{_fmt(report['E_overlap_route']):>24}"
         f"{_fmt(report['diff_overlap_route']):>26}",
@@ -797,13 +816,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        res = fd_ground_state(
+        res = oracle.fd_ground_state(
             V,
             v_func=v_func,
             mirror_even=_PROBLEMS[cfg.problem].reflecting,
             levels=args.levels,
         )
-    except EigensolveError as exc:
+    except oracle.EigensolveError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_EIGENSOLVE
     ref = res.refinement
@@ -1064,7 +1083,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         # positivity-violation code; usage problems are config problems
         code = exc.code if isinstance(exc.code, int) else 0
         return EXIT_CONFIG if code else EXIT_OK
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as exc:  # every input a verb refuses has its own code
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

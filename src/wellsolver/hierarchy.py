@@ -41,8 +41,8 @@ Every trial reaching the engine has a monotone w, in either direction:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, isfinite
-from typing import Literal, Mapping, Sequence
+from math import exp, isfinite, ulp
+from typing import Literal, Mapping
 
 import numpy as np
 
@@ -54,6 +54,13 @@ from .grid import (
     cumulative_from,
     integrate,
     mirror_grid,
+)
+from .ordering import (
+    Case,
+    IterateOptions,
+    PairVerdict,
+    _floor,
+    certify_shift_sequence,
 )
 from .trialgen import TrialFunction
 
@@ -74,12 +81,15 @@ __all__ = [
     "iterate_full_line",
 ]
 
-Case = Literal["A", "B"]
 Anchor = Literal["left", "right"]
 
 # Per-block cap on the log-amplitude range (in 2L units) of the scaled
 # scans; e^{+-cap} stays far from both float64 overflow and denormals.
 _BLOCK_LOG_RANGE = 300.0
+
+# A gap between the two half-line energies of at most this many ulps of
+# the larger one is roundoff, not a step (see ``glue_full_line``).
+_GAP_ULPS = 4
 
 
 class HalfLineStageError(RuntimeError):
@@ -89,15 +99,6 @@ class HalfLineStageError(RuntimeError):
         super().__init__(f"half-line stage '{label}' did not converge: {stop_reason}")
         self.label = label
         self.stop_reason = stop_reason
-
-
-@dataclass(frozen=True)
-class IterateOptions:
-    """Engine knobs. ``tol_e`` is relative to the trial's E0."""
-
-    max_iter: int = 64
-    tol_e: float = 1e-10
-    tol_f: float = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,16 +149,6 @@ class IterationTrace:
     @property
     def energies(self) -> tuple[float, ...]:
         return tuple(s.E_n for s in self.states)
-
-
-@dataclass(frozen=True)
-class PairVerdict:
-    """One ordering check between two iterates."""
-
-    kind: str
-    pair: tuple[int, int]
-    margin: float
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -542,6 +533,11 @@ def glue_full_line(
     genuine C^1 trial. What remains of the perturbation is the step
     |E_plus - E_minus| on the lower-energy side; the reference eigenvalue
     is the larger half-line energy.
+
+    A gap of at most 4 ulps of max(|E_plus|, |E_minus|) counts as no step
+    (``step_side="none"``). Two limits that should agree, as at zero tilt,
+    where the minus side runs on the mirrored grid, differ by that much
+    roundoff; a step of that height would be iterated as if it were real.
     """
     E_a, E_b = half.E_plus, half.E_minus
     plus_grid = tplus.grid
@@ -557,7 +553,10 @@ def glue_full_line(
     log_chi = np.concatenate((log_chi_minus[::-1], log_chi_plus[1:]))
 
     V_full = np.concatenate((tminus.V.values[::-1], tplus.V.values[1:]))
-    w, step_side = _step_at_origin(full, E_a - E_b)
+    gap = E_a - E_b
+    if abs(gap) <= _GAP_ULPS * ulp(max(abs(E_a), abs(E_b))):
+        gap = 0.0
+    w, step_side = _step_at_origin(full, gap)
 
     chi = TrialFunction(
         grid=full,
@@ -613,54 +612,6 @@ def iterate_full_line(
     return _run_engine(
         p.chi, case, anchor, opts, enforce_positivity=(case == "B")
     )
-
-
-def _floor(*values: float) -> float:
-    scale = max((abs(v) for v in values), default=0.0)
-    return 1e-13 * max(scale, 1e-300)
-
-
-def certify_shift_sequence(
-    shifts: Sequence[float], case: Case
-) -> tuple[tuple[PairVerdict, ...], tuple[PairVerdict, ...]]:
-    """Ordering verdicts for a shift sequence alone (no f samples needed).
-
-    ``shifts`` excludes the n=0 seed. Returns (adjacent-or-chain verdicts,
-    cross verdicts); the latter is empty for Case A.
-    """
-    n = len(shifts)
-    energy: list[PairVerdict] = []
-    cross: list[PairVerdict] = []
-    if case == "A":
-        for i in range(n - 1):
-            margin = shifts[i + 1] - shifts[i]
-            fl = _floor(shifts[i], shifts[i + 1])
-            energy.append(
-                PairVerdict("shift_ascending", (i + 1, i + 2), margin, margin > -fl)
-            )
-        return tuple(energy), ()
-    # Case B: indices are 1-based in the physics convention.
-    odd = [(i + 1, s) for i, s in enumerate(shifts) if (i + 1) % 2 == 1]
-    even = [(i + 1, s) for i, s in enumerate(shifts) if (i + 1) % 2 == 0]
-    for (na, sa), (nb, sb) in zip(odd, odd[1:]):
-        margin = sb - sa
-        energy.append(
-            PairVerdict("odd_ascending", (na, nb), margin, margin > -_floor(sa, sb))
-        )
-    for (na, sa), (nb, sb) in zip(even, even[1:]):
-        margin = sa - sb
-        energy.append(
-            PairVerdict("even_descending", (na, nb), margin, margin > -_floor(sa, sb))
-        )
-    for ne, se in even:
-        for no, so in odd:
-            margin = se - so
-            cross.append(
-                PairVerdict(
-                    "even_above_odd", (ne, no), margin, margin > -_floor(se, so)
-                )
-            )
-    return tuple(energy), tuple(cross)
 
 
 def certify(trace: IterationTrace, case: Case | None = None) -> CertificationReport:

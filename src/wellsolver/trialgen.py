@@ -135,8 +135,14 @@ def build_harmonic_trial(g: float, grid: Grid) -> TrialFunction:
     )
 
 
-def _half_quartic_trial(g: float, lam: float, grid: Grid) -> TrialFunction:
+def _half_quartic_trial(
+    g: float, lam: float, grid: Grid, side: Literal["+", "-"]
+) -> TrialFunction:
     """Half-line quartic trial in local coordinate s >= 0, tilt ``lam``.
+
+    ``side`` names the half of the full line the trial stands for; it is
+    passed, not read off ``lam``'s sign, because at zero tilt both halves
+    have ``lam == 0``.
 
     The two exponent branches exp(-g*s0) and exp(-4g/3 + g*s0) are mixed
     with weights (g+1+lam) and (g-1-lam) so value and slope match at s = 1
@@ -177,7 +183,6 @@ def _half_quartic_trial(g: float, lam: float, grid: Grid) -> TrialFunction:
         jumps = {j1: (u[j1] + ghat_at_1_left, u[j1])}
     w = Samples(grid, w_vals, jumps=jumps)
 
-    side = "+" if lam >= 0 else "-"
     return TrialFunction(
         grid=grid,
         log_phi=Samples(grid, log_phi, kind="log_amplitude"),
@@ -256,8 +261,8 @@ def build_asymmetric_quartic_trial(
         raise ValueError("full-line grid must reach beyond both wells")
     plus_grid = slice_grid(grid, 0.0, grid.x_max)
     minus_grid = mirror_grid(slice_grid(grid, grid.x_min, 0.0))
-    tplus = _half_quartic_trial(g, lam, plus_grid)
-    tminus = _half_quartic_trial(g, -lam, minus_grid)
+    tplus = _half_quartic_trial(g, lam, plus_grid, "+")
+    tminus = _half_quartic_trial(g, -lam, minus_grid, "-")
     return tplus, tminus
 
 

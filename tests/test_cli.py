@@ -317,6 +317,32 @@ def test_full_line_case_names_the_anchor(capsys, params, step, case):
     assert all(w in head for w in want), head
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        # the two half-line limits differ by one ulp: 4e-16 at E ~ 3.2 and
+        # 1.8e-15 at E ~ 11.7; gluing them made a step of that height
+        ["--g", "3.637245693217454", "--grid-density", "25"],
+        ["--g", "11.980322819064323", "--grid-density", "100"],
+        ["--g", "11.980322819064323", "--grid-density", "100", "--case", "B"],
+        ["--g", "4", "--grid-density", "400"],
+    ],
+)
+def test_zero_tilt_glues_no_roundoff_step(tmp_path, capsys, params):
+    # a gap of a few ulps between the half-line energies is no step, so
+    # every lam = 0 run takes the zero-step path: one iteration, certified
+    path = tmp_path / "t.csv"
+    rc, _out, err = run(
+        ["solve", "asym_quartic", "--lam", "0", *params, "--out", str(path)], capsys
+    )
+    assert rc == cli.EXIT_OK, err
+    assert "after 1 iterations; certified ok" in err
+    head = " ".join(path.read_text().splitlines()[1:3])
+    g = f"g={float(params[1]):g}"
+    assert f"glued(asym_quartic+({g}, lam=0), asym_quartic-({g}, lam=0))" in head
+    assert "case=A" in head and "stop_reason=tolerance" in head
+
+
 def test_oracle_eigensolve_failure_has_its_own_exit_code(capsys):
     # lam = 0 leaves the full-line g=30 double well symmetric: its even and
     # odd levels agree to roundoff, so no Sturm count isolates the ground
@@ -537,23 +563,100 @@ print(json.dumps(seen))
 """
 
 
-def test_engine_verbs_never_load_scipy(tmp_path):
-    sweep = tmp_path / "sweep.json"
-    sweep.write_text(json.dumps(sweep_doc(sweep={"params.g": [2.0]})))
+def _probe(code, *args):
+    """Run ``code`` in a fresh interpreter on this package; its stdout as JSON."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "t.csv"),
-         str(sweep), str(tmp_path / "out")],
+        [sys.executable, "-c", code, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_engine_verbs_never_load_scipy(tmp_path):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(sweep_doc(sweep={"params.g": [2.0]})))
+    seen = _probe(_SCIPY_PROBE, tmp_path / "t.csv", sweep, tmp_path / "out")
     # no verb loads scipy: the oracle's eigensolver is pure Python
     assert seen == {"import": [], "engine": [], "squarewell": [], "oracle": []}
+
+
+_FOOTPRINT_PROBE = """
+import json, sys
+from wellsolver import cli
+
+WATCHED = ("numpy", "fractions", "wellsolver.oracle", "wellsolver.squarewell")
+
+def loaded():
+    return [m for m in WATCHED if m in sys.modules]
+
+trace, sweep, outdir = sys.argv[1:4]
+seen = {"import": loaded()}
+assert cli.main(["certify", trace, "--out", outdir + "/c.json"]) == 0
+seen["certify"] = loaded()
+assert cli.main(["solve", "sym_quartic", "--g", "2", "--grid-density", "150",
+                 "--out", outdir + "/t.csv"]) == 0
+assert cli.main(["sweep", "--config", sweep, "--outdir", outdir]) == 0
+seen["sym_quartic"] = loaded()
+assert cli.main(["squarewell", "--w", "3", "--mu", "0.7", "--alpha", "1",
+                 "--beta", "2", "--grid-density", "100",
+                 "--out", outdir + "/sq.txt"]) == 0
+seen["squarewell"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_cold_verbs_load_only_what_they_run(tmp_path, capsys):
+    trace, outdir = tmp_path / "t.csv", tmp_path / "out"
+    assert cli.main(["solve", "sym_quartic", "--g", "2", "--grid-density", "150",
+                     "--out", str(trace)]) == cli.EXIT_OK
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(sweep_doc(sweep={"params.g": [2.0, 3.0]})))
+    outdir.mkdir()
+    seen = _probe(_FOOTPRINT_PROBE, trace, sweep, outdir)
+    assert seen == {
+        # certify runs on the standard library and wellsolver.ordering
+        "import": [],
+        "certify": [],
+        # the sym_quartic engine needs grid, trialgen and hierarchy only
+        "sym_quartic": ["numpy"],
+        "squarewell": ["numpy", "fractions", "wellsolver.oracle",
+                       "wellsolver.squarewell"],
+    }
+
+
+def test_package_names_are_their_home_modules_objects():
+    import importlib
+
+    import wellsolver as ws
+
+    for name in ws.__all__[1:]:
+        obj = getattr(ws, name)
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__.startswith("wellsolver."), name
+        assert getattr(home, name) is obj, name
+    assert ws.iterate is ws.hierarchy.iterate
+    moved = ("IterateOptions", "PairVerdict", "certify_shift_sequence")
+    assert all(getattr(ws.hierarchy, n) is getattr(ws.ordering, n) for n in moved)
+    assert set(ws.__all__) <= set(dir(ws))
+    with pytest.raises(AttributeError):
+        ws.no_such_name
+
+
+def test_unexpected_exception_exits_internal(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("two\nlines")
+
+    monkeypatch.setattr(cli, "cmd_certify", broken)
+    rc, out, err = run(["certify", "any.csv"], capsys)
+    assert rc == cli.EXIT_INTERNAL == 7
+    assert out == ""
+    assert err.splitlines() == ["internal error: RuntimeError: two lines"]
 
 
 def test_unknown_verb_is_config_error():
