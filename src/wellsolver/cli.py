@@ -51,7 +51,7 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from importlib import import_module
 from itertools import product
@@ -264,7 +264,7 @@ _PROBLEMS: dict[str, _Problem] = {
         trial=lambda p, grid: trialgen.build_symmetric_quartic_trial(p["g"], grid),
         run=lambda trial, case, opts: hierarchy.iterate(trial, case, opts),
         potential=partial(
-            _sampled, lambda p, x: 0.5 * p["g"] ** 2 * (x**2 - 1.0) ** 2
+            _sampled, lambda p, x: trialgen._quartic_potential(p["g"], 0.0, x)
         ),
         reflecting=True,
     ),
@@ -283,8 +283,7 @@ _PROBLEMS: dict[str, _Problem] = {
         ),
         run=_run_glued,
         potential=partial(
-            _sampled,
-            lambda p, x: 0.5 * p["g"] ** 2 * (x**2 - 1.0) ** 2 + p["g"] * p["lam"] * x,
+            _sampled, lambda p, x: trialgen._quartic_potential(p["g"], p["lam"], x)
         ),
     ),
     "squarewell": _Problem(
@@ -366,9 +365,9 @@ def _build(cfg: ExperimentConfig, *parts: str) -> tuple[Any, ...]:
 
     ``parts`` name the problem's builders: "trial" (the engine's input)
     and "potential" (the oracle's). Whatever a builder rejects with
-    ValueError or OverflowError (a grid too large to allocate, a trial
-    the grid cannot hold, a coupling whose square overflows) is a
-    ConfigError.
+    ValueError, OverflowError or MemoryError (a trial the grid cannot
+    hold, a coupling whose square overflows, a grid too large to
+    allocate) is a ConfigError.
     """
     validate_config(cfg)
     spec = _PROBLEMS[cfg.problem]
@@ -381,7 +380,7 @@ def _build(cfg: ExperimentConfig, *parts: str) -> tuple[Any, ...]:
     try:
         domain = spec.domain(p, cfg.grid)
         return (domain, *(getattr(spec, part)(p, domain) for part in parts))
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         raise ConfigError(f"{cfg.problem} cannot be built: {exc}") from exc
 
 
@@ -867,9 +866,23 @@ def _apply_override(doc: dict[str, Any], dotted: str, value: Any) -> None:
 
 
 def _config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
-    grid_doc = dict(doc.get("grid", {}))
-    engine_doc = dict(doc.get("engine", {}))
+    """The config a sweep point's document describes; a key the config
+    does not have, at any level, is refused rather than ignored."""
     try:
+        grid_doc = dict(doc.get("grid", {}))
+        engine_doc = dict(doc.get("engine", {}))
+        for where, given, spec in (
+            ("config", doc, ExperimentConfig),
+            ("grid", grid_doc, GridSpec),
+            ("engine", engine_doc, IterateOptions),
+        ):
+            known = [f.name for f in fields(spec)]
+            stray = [k for k in given if k not in known]
+            if stray:
+                raise ConfigError(
+                    f"unknown {where} key {', '.join(map(repr, stray))}; "
+                    f"expected one of {', '.join(known)}"
+                )
         return ExperimentConfig(
             problem=doc["problem"],
             params=dict(doc.get("params", {})),

@@ -104,23 +104,11 @@ class Grid:
         """Same breakpoints, ``factor`` times the panels in every segment."""
         if factor < 1:
             raise ValueError("refinement factor must be >= 1")
-        pieces: list[Array] = []
-        segs: list[tuple[int, int, float]] = []
-        start = 0
-        for i0, i1, _h in self.segments:
-            n = (i1 - i0) * factor
-            a, b = float(self.nodes[i0]), float(self.nodes[i1])
-            xs = np.linspace(a, b, n + 1)
-            if start:
-                xs = xs[1:]
-                pieces.append(xs)
-                segs.append((start - 1, start - 1 + n, (b - a) / n))
-                start += n
-            else:
-                pieces.append(xs)
-                segs.append((0, n, (b - a) / n))
-                start = n + 1
-        return Grid(np.concatenate(pieces), tuple(segs), self.breakpoints)
+        spans = (
+            (float(self.nodes[i0]), float(self.nodes[i1]), (i1 - i0) * factor)
+            for i0, i1, _h in self.segments
+        )
+        return _tile(spans, self.breakpoints)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,24 +168,31 @@ def make_grid(
     cuts = sorted({float(b) for b in breakpoints if x_min < float(b) < x_max})
     edges = [x_min, *cuts, x_max]
 
+    def panels(a: float, b: float) -> int:
+        n = max(2, ceil((b - a) * density))
+        return n + n % 2  # round up to even
+
+    spans = ((a, b, panels(a, b)) for a, b in zip(edges[:-1], edges[1:]))
+    return _tile(spans, tuple(cuts))
+
+
+def _tile(
+    spans: Iterable[tuple[float, float, int]], breakpoints: tuple[float, ...]
+) -> Grid:
+    """Grid of uniform segments, one per ``(a, b, n_panels)`` span, in order.
+
+    Consecutive spans share their boundary node, which the first of them
+    supplies.
+    """
     pieces: list[Array] = []
     segs: list[tuple[int, int, float]] = []
-    start = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        n = max(2, ceil((b - a) * density))
-        if n % 2:
-            n += 1
+    first = 0
+    for a, b, n in spans:
         xs = np.linspace(a, b, n + 1)
-        h = (b - a) / n
-        if start:
-            pieces.append(xs[1:])
-            segs.append((start - 1, start - 1 + n, h))
-            start += n
-        else:
-            pieces.append(xs)
-            segs.append((0, n, h))
-            start = n + 1
-    return Grid(np.concatenate(pieces), tuple(segs), tuple(cuts))
+        pieces.append(xs[1:] if pieces else xs)
+        segs.append((first, first + n, (b - a) / n))
+        first += n
+    return Grid(np.concatenate(pieces), tuple(segs), breakpoints)
 
 
 def slice_grid(grid: Grid, x_lo: float, x_hi: float) -> Grid:

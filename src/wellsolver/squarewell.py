@@ -20,6 +20,12 @@ package's analytic ground truth:
   series (radius of convergence 1) visibly diverges while the iteration
   does not.
 
+The stitched trial state is, on each side of the origin, the even ground
+state of that side's comparison well (floors raised on the right, at zero
+on the left). It is written once, in u = |x| with the side's barrier
+decay q, outer wavenumber k and outer amplitude; its irregular partner is
+the odd solution of the same equations.
+
 Conventions: energies are wavenumber^2 / 2; comparison-well wavefunctions
 are 1 at the origin; the asymmetric ground state is normalized so its
 slope at the right wall equals the trial state's slope there.
@@ -380,6 +386,21 @@ class SquareWellModel:
         """Comparison-well energy gap, the height of the step perturbation."""
         return self.E_a - self.E_b
 
+    @property
+    def _sides(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Trial state's (barrier decay q, outer wavenumber k), right then left."""
+        return (self.q_a, self.k_a), (self.q_b, self.p_b)
+
+    @property
+    def _amplitudes(self) -> tuple[float, float]:
+        """Trial state's outer-well amplitudes, right then left.
+
+        In u = |x| a side is cosh(q u) on the barrier and amplitude *
+        sin(k (gamma - u)) in its outer well, meeting at u = alpha.
+        """
+        pa, pb = (cosh(q * self.alpha) / sin(k * self.beta) for q, k in self._sides)
+        return pa, pb
+
 
 def _kcot_t(s: float, length: float) -> float:
     """t * cot(t) for t = sqrt(s)*length, continued smoothly through s <= 0."""
@@ -560,20 +581,15 @@ def trial_log_samples(m: SquareWellModel, grid: Grid) -> Samples:
     slope, so the stitch is C1 and the log is finite everywhere inside.
     """
     x = grid.nodes
+    u = np.abs(x)
+    outer = u > m.alpha
     L = np.empty_like(x)
-    log_pa = _log_cosh(np.array([m.q_a * m.alpha]))[0] - log(sin(m.k_a * m.beta))
-    log_pb = _log_cosh(np.array([m.q_b * m.alpha]))[0] - log(sin(m.p_b * m.beta))
-
-    right_outer = x > m.alpha
-    right_inner = (x >= 0.0) & ~right_outer
-    left_inner = (x < 0.0) & (x >= -m.alpha)
-    left_outer = x < -m.alpha
-
-    with np.errstate(divide="ignore"):
-        L[right_outer] = log_pa + np.log(np.sin(m.k_a * (m.gamma - x[right_outer])))
-        L[left_outer] = log_pb + np.log(np.sin(m.p_b * (x[left_outer] + m.gamma)))
-    L[right_inner] = _log_cosh(m.q_a * x[right_inner])
-    L[left_inner] = _log_cosh(m.q_b * x[left_inner])
+    for (q, k), side in zip(m._sides, (x >= 0.0, x < 0.0)):
+        log_amp = _log_cosh(np.array([q * m.alpha]))[0] - log(sin(k * m.beta))
+        well, barrier = side & outer, side & ~outer
+        with np.errstate(divide="ignore"):
+            L[well] = log_amp + np.log(np.sin(k * (m.gamma - u[well])))
+        L[barrier] = _log_cosh(q * u[barrier])
     L[0] = -np.inf
     L[-1] = -np.inf
     return Samples(grid, L, kind="log_amplitude")
@@ -582,21 +598,12 @@ def trial_log_samples(m: SquareWellModel, grid: Grid) -> Samples:
 def trial_values(m: SquareWellModel, x: np.ndarray) -> np.ndarray:
     """Trial state pointwise (plain values; fine while cosh(q alpha) fits)."""
     x = np.asarray(x, dtype=np.float64)
-    pa = cosh(m.q_a * m.alpha) / sin(m.k_a * m.beta)
-    pb = cosh(m.q_b * m.alpha) / sin(m.p_b * m.beta)
-    return np.where(
-        x > m.alpha,
-        pa * np.sin(m.k_a * (m.gamma - x)),
-        np.where(
-            x >= 0.0,
-            np.cosh(m.q_a * x),
-            np.where(
-                x >= -m.alpha,
-                np.cosh(m.q_b * x),
-                pb * np.sin(m.p_b * (x + m.gamma)),
-            ),
-        ),
+    u = np.abs(x)
+    right, left = (
+        np.where(u > m.alpha, amp * np.sin(k * (m.gamma - u)), np.cosh(q * u))
+        for (q, k), amp in zip(m._sides, m._amplitudes)
     )
+    return np.where(x >= 0.0, right, left)
 
 
 def _osc(s: float, u: np.ndarray) -> np.ndarray:
@@ -610,6 +617,24 @@ def _osc(s: float, u: np.ndarray) -> np.ndarray:
     return np.sinh(r * u) / r
 
 
+def _psi_coefficients(m: SquareWellModel) -> tuple[float, float, float, float, float]:
+    """Coefficients of the exact ground state's closed form, region by region.
+
+    Returns ``(s, pref, barrier, mid_den, left_pref)``: the raised well
+    holds pref * sin(sqrt(s) (gamma - x))/sqrt(s), the barrier
+    barrier * cosh(q (x - delta)) / mid_den and the left well
+    left_pref * sin(p (x + gamma)).
+    """
+    s = 2.0 * m.E - m.mu**2
+    pref = m.k_a * m._amplitudes[0]
+    mid_den = cosh(m.q * (m.alpha - m.delta))
+    barrier = pref * float(_osc(s, np.array([m.beta]))[0])
+    left_pref = barrier * cosh(m.q * (m.alpha + m.delta)) / (
+        mid_den * sin(m.p * m.beta)
+    )
+    return s, pref, barrier, mid_den, left_pref
+
+
 def ground_state_values(m: SquareWellModel, x: np.ndarray) -> np.ndarray:
     """Exact ground state pointwise, slope-matched to the trial at +gamma.
 
@@ -618,20 +643,13 @@ def ground_state_values(m: SquareWellModel, x: np.ndarray) -> np.ndarray:
     asymmetry); the closed form covers both branches.
     """
     x = np.asarray(x, dtype=np.float64)
-    s = 2.0 * m.E - m.mu**2
-    pa = cosh(m.q_a * m.alpha) / sin(m.k_a * m.beta)
-    pref = m.k_a * pa
-    mid_den = cosh(m.q * (m.alpha - m.delta))
-    osc_beta = float(_osc(s, np.array([m.beta]))[0])
-    left_pref = pref * osc_beta * cosh(m.q * (m.alpha + m.delta)) / (
-        mid_den * sin(m.p * m.beta)
-    )
+    s, pref, barrier, mid_den, left_pref = _psi_coefficients(m)
     return np.where(
         x > m.alpha,
         pref * _osc(s, m.gamma - x),
         np.where(
             np.abs(x) <= m.alpha,
-            pref * osc_beta * np.cosh(m.q * (x - m.delta)) / mid_den,
+            barrier * np.cosh(m.q * (x - m.delta)) / mid_den,
             left_pref * np.sin(m.p * (x + m.gamma)),
         ),
     )
@@ -667,17 +685,13 @@ def exact_shift(m: SquareWellModel, grid: Grid) -> float:
 
 def closed_form_overlaps(m: SquareWellModel) -> tuple[float, float]:
     """Seed-iteration overlaps of the squared trial state, antiderivatives only."""
-    M0 = 0.5 * (
-        m.alpha
-        + sinh(2.0 * m.q_a * m.alpha) / (2.0 * m.q_a)
-        + (cosh(m.q_a * m.alpha) / sin(m.k_a * m.beta)) ** 2
-        * (m.beta - sin(2.0 * m.k_a * m.beta) / (2.0 * m.k_a))
-    )
-    N0 = 0.5 * (
-        m.alpha
-        + sinh(2.0 * m.q_b * m.alpha) / (2.0 * m.q_b)
-        + (cosh(m.q_b * m.alpha) / sin(m.p_b * m.beta)) ** 2
-        * (m.beta - sin(2.0 * m.p_b * m.beta) / (2.0 * m.p_b))
+    M0, N0 = (
+        0.5 * (
+            m.alpha
+            + sinh(2.0 * q * m.alpha) / (2.0 * q)
+            + amp**2 * (m.beta - sin(2.0 * k * m.beta) / (2.0 * k))
+        )
+        for (q, k), amp in zip(m._sides, m._amplitudes)
     )
     return M0, N0
 
@@ -692,62 +706,29 @@ def first_iteration_energy(m: SquareWellModel) -> float:
 # Green's function
 
 
-def _chi_at(m: SquareWellModel, x: float) -> float:
-    if x >= m.alpha:
-        return cosh(m.q_a * m.alpha) / sin(m.k_a * m.beta) * sin(m.k_a * (m.gamma - x))
-    if x >= 0.0:
-        return cosh(m.q_a * x)
-    if x >= -m.alpha:
-        return cosh(m.q_b * x)
-    return cosh(m.q_b * m.alpha) / sin(m.p_b * m.beta) * sin(m.p_b * (x + m.gamma))
+def _chi(m: SquareWellModel, x: float) -> tuple[float, float, float, float]:
+    """(chi, chi', chi_bar, chi_bar') at x: the trial state, its partner, slopes.
 
-
-def _chi_slope_at(m: SquareWellModel, x: float) -> float:
-    if x >= m.alpha:
-        pa = cosh(m.q_a * m.alpha) / sin(m.k_a * m.beta)
-        return -m.k_a * pa * cos(m.k_a * (m.gamma - x))
-    if x >= 0.0:
-        return m.q_a * sinh(m.q_a * x)
-    if x >= -m.alpha:
-        return m.q_b * sinh(m.q_b * x)
-    pb = cosh(m.q_b * m.alpha) / sin(m.p_b * m.beta)
-    return m.p_b * pb * cos(m.p_b * (x + m.gamma))
-
-
-def _chi_bar_at(m: SquareWellModel, x: float) -> float:
-    if x >= m.alpha:
-        A = sinh(m.q_a * m.alpha) / (m.q_a * sin(m.k_a * m.beta)) - cos(
-            m.k_a * m.beta
-        ) / (m.k_a * cosh(m.q_a * m.alpha))
-        u = m.k_a * (m.gamma - x)
-        return A * sin(u) + sin(m.k_a * m.beta) / (m.k_a * cosh(m.q_a * m.alpha)) * cos(u)
-    if x >= 0.0:
-        return sinh(m.q_a * x) / m.q_a
-    if x >= -m.alpha:
-        return sinh(m.q_b * x) / m.q_b
-    B = sinh(m.q_b * m.alpha) / (m.q_b * sin(m.p_b * m.beta)) - cos(
-        m.p_b * m.beta
-    ) / (m.p_b * cosh(m.q_b * m.alpha))
-    v = m.p_b * (x + m.gamma)
-    return -B * sin(v) - sin(m.p_b * m.beta) / (m.p_b * cosh(m.q_b * m.alpha)) * cos(v)
-
-
-def _chi_bar_slope_at(m: SquareWellModel, x: float) -> float:
-    if x >= m.alpha:
-        A = sinh(m.q_a * m.alpha) / (m.q_a * sin(m.k_a * m.beta)) - cos(
-            m.k_a * m.beta
-        ) / (m.k_a * cosh(m.q_a * m.alpha))
-        u = m.k_a * (m.gamma - x)
-        return -m.k_a * A * cos(u) + sin(m.k_a * m.beta) / cosh(m.q_a * m.alpha) * sin(u)
-    if x >= 0.0:
-        return cosh(m.q_a * x)
-    if x >= -m.alpha:
-        return cosh(m.q_b * x)
-    B = sinh(m.q_b * m.alpha) / (m.q_b * sin(m.p_b * m.beta)) - cos(
-        m.p_b * m.beta
-    ) / (m.p_b * cosh(m.q_b * m.alpha))
-    v = m.p_b * (x + m.gamma)
-    return -m.p_b * B * cos(v) + sin(m.p_b * m.beta) / cosh(m.q_b * m.alpha) * sin(v)
+    On each side, in u = |x|, chi is that side's even comparison state
+    and chi_bar the odd solution of the same equation with chi_bar(0) = 0
+    and unit Wronskian chi_bar' chi - chi' chi_bar = 1.
+    """
+    side, sign = (0, 1.0) if x >= 0.0 else (1, -1.0)
+    q, k = m._sides[side]
+    u = abs(x)
+    if u > m.alpha:
+        amp = m._amplitudes[side]
+        ch = cosh(q * m.alpha)
+        skb = sin(k * m.beta)
+        A = sinh(q * m.alpha) / (q * skb) - cos(k * m.beta) / (k * ch)
+        t = k * (m.gamma - u)
+        even, even_slope = amp * sin(t), -k * amp * cos(t)
+        odd = A * sin(t) + skb / (k * ch) * cos(t)
+        odd_slope = -k * A * cos(t) + skb / ch * sin(t)
+    else:
+        even, even_slope = cosh(q * u), q * sinh(q * u)
+        odd, odd_slope = sinh(q * u) / q, cosh(q * u)
+    return even, sign * even_slope, sign * odd, odd_slope
 
 
 def greens_function(m: SquareWellModel, x: float, z: float) -> float:
@@ -760,9 +741,10 @@ def greens_function(m: SquareWellModel, x: float, z: float) -> float:
     """
     if not (-m.gamma < x < m.gamma and -m.gamma < z < m.gamma):
         raise ValueError("evaluation points must lie strictly inside the walls")
-    for point in (x, z):
-        term_a = _chi_bar_slope_at(m, point) * _chi_at(m, point)
-        term_b = _chi_slope_at(m, point) * _chi_bar_at(m, point)
+    chi_x, chi_z = _chi(m, x), _chi(m, z)
+    for point, (chi, chi_slope, bar, bar_slope) in ((x, chi_x), (z, chi_z)):
+        term_a = bar_slope * chi
+        term_b = chi_slope * bar
         wr = term_a - term_b
         # the two terms cancel to exactly 1, so roundoff scales with their size
         tol = 1e-9 * max(1.0, abs(term_a) + abs(term_b))
@@ -773,9 +755,7 @@ def greens_function(m: SquareWellModel, x: float, z: float) -> float:
             )
     if x >= z:
         return 0.0
-    return -2.0 * (
-        _chi_at(m, x) * _chi_bar_at(m, z) - _chi_bar_at(m, x) * _chi_at(m, z)
-    )
+    return -2.0 * (chi_x[0] * chi_z[2] - chi_x[2] * chi_z[0])
 
 
 def _psi_at(m: SquareWellModel, x: float) -> float:
@@ -783,9 +763,7 @@ def _psi_at(m: SquareWellModel, x: float) -> float:
 
 
 def _psi_slope_at(m: SquareWellModel, x: float) -> float:
-    s = 2.0 * m.E - m.mu**2
-    pref = m.k_a * cosh(m.q_a * m.alpha) / sin(m.k_a * m.beta)
-    mid_den = cosh(m.q * (m.alpha - m.delta))
+    s, pref, barrier, mid_den, left_pref = _psi_coefficients(m)
     if x > m.alpha:
         u = m.gamma - x
         # d/dx of the continued sin(r u)/r is -cos(r u) on both branches
@@ -794,12 +772,8 @@ def _psi_slope_at(m: SquareWellModel, x: float) -> float:
         if s == 0.0:
             return -pref
         return -pref * cosh(sqrt(-s) * u)
-    osc_beta = float(_osc(s, np.array([m.beta]))[0])
     if x >= -m.alpha:
-        return pref * osc_beta * m.q * sinh(m.q * (x - m.delta)) / mid_den
-    left_pref = pref * osc_beta * cosh(m.q * (m.alpha + m.delta)) / (
-        mid_den * sin(m.p * m.beta)
-    )
+        return barrier * m.q * sinh(m.q * (x - m.delta)) / mid_den
     return left_pref * m.p * cos(m.p * (x + m.gamma))
 
 
@@ -842,10 +816,8 @@ def wronskian_overlap_residuals(
                 probes.append(j)
     for j in probes:
         x = float(nodes[j])
-        wr = 0.5 * (
-            _chi_at(m, x) * _psi_slope_at(m, x)
-            - _psi_at(m, x) * _chi_slope_at(m, x)
-        )
+        chi, chi_slope, _bar, _bar_slope = _chi(m, x)
+        wr = 0.5 * (chi * _psi_slope_at(m, x) - _psi_at(m, x) * chi_slope)
         if x >= 0.0:
             lhs = coef_right * cum_right[j]
             rhs = wr
@@ -1234,8 +1206,7 @@ class RegionSolution:
         m = self.model
         x = np.asarray(x, dtype=np.float64)
         e1, e2, e3, e4 = self.eps
-        pa = cosh(m.q_a * m.alpha) / sin(m.k_a * m.beta)
-        pb = cosh(m.q_b * m.alpha) / sin(m.p_b * m.beta)
+        pa, pb = m._amplitudes
 
         xi_i = m.k_a * (m.gamma - x)
         r_i = pa * ((1.0 + 0.5 * e1) * np.sin(xi_i) - 0.5 * e1 * xi_i * np.cos(xi_i))
@@ -1275,8 +1246,7 @@ def region_solution_n1(m: SquareWellModel) -> RegionSolution:
     e3 = 2.0 * (m.E_b - E1) / m.q_b**2
     e4 = 2.0 * (m.E_b - E1) / m.p_b**2
 
-    pa = cosh(m.q_a * m.alpha) / sin(m.k_a * m.beta)
-    pb = cosh(m.q_b * m.alpha) / sin(m.p_b * m.beta)
+    pa, pb = m._amplitudes
     kb = m.k_a * m.beta
     val_right = pa * ((1.0 + 0.5 * e1) * sin(kb) - 0.5 * e1 * kb * cos(kb))
     slope_right = -m.k_a * pa * (cos(kb) + 0.5 * e1 * kb * sin(kb))

@@ -9,7 +9,9 @@ double well, and the tilted quartic double well split into two half-line
 trials (the minus side is built in the mirrored coordinate s = -x, where
 the tilt simply flips sign).
 
-The quartic trials patch together two WKB-style branches so that phi and
+Both quartic families come from one half-line builder with tilt lam: the
+symmetric trial is its lam = 0 case, and the tilted pair is its lam and
+-lam cases. It patches together two WKB-style branches so that phi and
 phi' are continuous at the potential barrier's outer edge x = 1 and
 phi'(0) = 0; the price is a downward jump of w at x = 1, which is why
 x = 1 must be a grid breakpoint.
@@ -135,14 +137,18 @@ def build_harmonic_trial(g: float, grid: Grid) -> TrialFunction:
     )
 
 
+def _quartic_potential(g: float, lam: float, x: np.ndarray) -> np.ndarray:
+    """V = g^2 (x^2-1)^2 / 2 + g lam x, the quartic family's potential."""
+    return 0.5 * g**2 * (x**2 - 1.0) ** 2 + g * lam * x
+
+
 def _half_quartic_trial(
-    g: float, lam: float, grid: Grid, side: Literal["+", "-"]
+    g: float, lam: float, grid: Grid, log_norm: float, label: str
 ) -> TrialFunction:
     """Half-line quartic trial in local coordinate s >= 0, tilt ``lam``.
 
-    ``side`` names the half of the full line the trial stands for; it is
-    passed, not read off ``lam``'s sign, because at zero tilt both halves
-    have ``lam == 0``.
+    ``log_norm`` is the constant term of log phi, so it sets only the
+    normalisation; the caller picks it, and names the trial by ``label``.
 
     The two exponent branches exp(-g*s0) and exp(-4g/3 + g*s0) are mixed
     with weights (g+1+lam) and (g-1-lam) so value and slope match at s = 1
@@ -160,7 +166,7 @@ def _half_quartic_trial(
     ratio = small / big
     t_at_1 = exp(-4.0 * g / 3.0)
 
-    log_phi = -log(2.0 * g) + log(big) - (1.0 + lam) * np.log1p(x) - g * s0
+    log_phi = log_norm - (1.0 + lam) * np.log1p(x) - g * s0
     inner = np.empty_like(x)
     t_left = np.exp(2.0 * g * s0[: j1 + 1] - 4.0 * g / 3.0)
     inner[: j1 + 1] = np.log1p(ratio * t_left)
@@ -188,18 +194,19 @@ def _half_quartic_trial(
         log_phi=Samples(grid, log_phi, kind="log_amplitude"),
         w=w,
         E0=g * (1.0 + lam),
-        V=Samples(grid, 0.5 * g**2 * (x**2 - 1.0) ** 2 + g * lam * x),
+        V=Samples(grid, _quartic_potential(g, lam, x)),
         domain_kind="half_line_even",
-        label=f"asym_quartic{side}(g={g:g}, lam={abs(lam):g})",
+        label=label,
     )
 
 
 def build_symmetric_quartic_trial(g: float, grid: Grid) -> TrialFunction:
     """Trial for V = g^2 (x^2-1)^2 / 2 on the half line, E0 = g exactly.
 
-    w = 1/(1+x)^2 plus a barrier correction that is positive for g > 1 and
-    drops to zero discontinuously at x = 1; w is strictly decreasing on
-    x > 0, which is what the iteration's convergence proof consumes.
+    The zero-tilt half-line trial: w = 1/(1+x)^2 plus a barrier
+    correction that is positive for g > 1 and drops to zero
+    discontinuously at x = 1; w is strictly decreasing on x > 0, which is
+    what the iteration's convergence proof consumes.
     """
     if g < 1.0:
         raise ValueError("symmetric quartic trial needs g >= 1")
@@ -207,39 +214,7 @@ def build_symmetric_quartic_trial(g: float, grid: Grid) -> TrialFunction:
         raise ValueError("symmetric quartic trial lives on the half line")
     if grid.x_max < 1.0:
         raise ValueError("half-line grid must reach the well at x = 1")
-    j1 = grid.index_of(1.0)
-    x = grid.nodes
-    s0 = _s0(x)
-    c = (g - 1.0) / (g + 1.0)
-    t_at_1 = exp(-4.0 * g / 3.0)
-
-    log_phi = log(2.0) - np.log1p(x) - g * s0
-    t_left = np.exp(2.0 * g * s0[: j1 + 1] - 4.0 * g / 3.0)
-    inner = np.empty_like(x)
-    inner[: j1 + 1] = np.log1p(c * t_left)
-    inner[j1 + 1 :] = log1p(c * t_at_1)
-    log_phi = log_phi + inner
-
-    u = 1.0 / (1.0 + x) ** 2
-    w_vals = u.copy()
-    w_vals[:j1] += (
-        2.0 * g * (g - 1.0) * t_left[:j1] / ((g + 1.0) + (g - 1.0) * t_left[:j1])
-    )
-    ghat_at_1_left = 2.0 * g * (g - 1.0) * t_at_1 / ((g + 1.0) + (g - 1.0) * t_at_1)
-    jumps = {}
-    if ghat_at_1_left != 0.0:
-        jumps = {j1: (u[j1] + ghat_at_1_left, u[j1])}
-    w = Samples(grid, w_vals, jumps=jumps)
-
-    return TrialFunction(
-        grid=grid,
-        log_phi=Samples(grid, log_phi, kind="log_amplitude"),
-        w=w,
-        E0=g,
-        V=Samples(grid, 0.5 * g**2 * (x**2 - 1.0) ** 2),
-        domain_kind="half_line_even",
-        label=f"sym_quartic(g={g:g})",
-    )
+    return _half_quartic_trial(g, 0.0, grid, log(2.0), f"sym_quartic(g={g:g})")
 
 
 def build_asymmetric_quartic_trial(
@@ -261,9 +236,13 @@ def build_asymmetric_quartic_trial(
         raise ValueError("full-line grid must reach beyond both wells")
     plus_grid = slice_grid(grid, 0.0, grid.x_max)
     minus_grid = mirror_grid(slice_grid(grid, grid.x_min, 0.0))
-    tplus = _half_quartic_trial(g, lam, plus_grid, "+")
-    tminus = _half_quartic_trial(g, -lam, minus_grid, "-")
-    return tplus, tminus
+
+    def half(tilt: float, half_grid: Grid, side: str) -> TrialFunction:
+        log_norm = -log(2.0 * g) + log(g + 1.0 + tilt)
+        label = f"asym_quartic{side}(g={g:g}, lam={abs(lam):g})"
+        return _half_quartic_trial(g, tilt, half_grid, log_norm, label)
+
+    return half(lam, plus_grid, "+"), half(-lam, minus_grid, "-")
 
 
 def residual_check(t: TrialFunction, *, amp_floor: float = 1e-6) -> ResidualReport:

@@ -209,6 +209,18 @@ def test_non_finite_or_empty_flags_are_config_errors(capsys, argv, reason):
     assert err.startswith("config error:") and reason in err
 
 
+@pytest.mark.parametrize("verb", ["solve", "oracle"])
+def test_grid_too_large_to_allocate_is_a_config_error(capsys, verb):
+    # the 7 TiB node array fails at once, before anything is allocated
+    rc, out, err = run(
+        [verb, "sym_quartic", "--g", "2", "--grid-density", "1e12"], capsys
+    )
+    assert rc == cli.EXIT_CONFIG
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error: sym_quartic cannot be built:")
+
+
 def test_unconverged_half_line_stage_exits_on_its_stop_reason(tmp_path, capsys):
     path = tmp_path / "t.csv"
     rc, out, err = run(
@@ -869,6 +881,31 @@ def test_sweep_refuses_square_well_x_max(tmp_path, capsys):
     points = json.loads((outdir / "manifest.json").read_text())["points"]
     assert [p["status"] for p in points] == ["tolerance", "error"]
     assert "x_max" in points[1]["error"]
+
+
+@pytest.mark.parametrize(
+    "typo, key",
+    [
+        ({"engine": {"maxiter": 1}}, "'maxiter'"),
+        ({"grid": {"densty": 50}}, "'densty'"),
+        ({"cas": "B"}, "'cas'"),
+    ],
+)
+def test_sweep_refuses_misspelled_keys(tmp_path, capsys, typo, key):
+    doc = sweep_doc()
+    doc["base"].update(typo)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(doc))
+    outdir = tmp_path / "out"
+    rc, _out, err = run(["sweep", "--config", str(cfg), "--outdir", str(outdir)],
+                        capsys)
+    assert rc == cli.EXIT_VERDICT
+    assert "0 converged, 2 failed" in err
+    points = json.loads((outdir / "manifest.json").read_text())["points"]
+    assert [p["status"] for p in points] == ["error", "error"]
+    for point in points:
+        assert key in point["error"] and len(point["error"].splitlines()) == 1
+    assert not list(outdir.glob("point_*"))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

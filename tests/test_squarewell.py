@@ -288,6 +288,27 @@ def test_energy_ordering_survives_the_plateau():
 # one-sided resolvent kernel
 
 
+@pytest.mark.parametrize(
+    "geometry", [(3.0, math.sqrt(0.5), 1.0, 2.0), (4.0, 3.2, 0.7, 1.5)],
+    ids=["readme", "strongly_asymmetric"],
+)
+def test_scalar_trial_matches_trial_values_and_its_slope(geometry):
+    # the Green's function's chi and chi' against the vectorised trial
+    m = ws.solve_asymmetric(*geometry)
+    h = 1e-5 * m.gamma
+    regions = ((-m.gamma, -m.alpha), (-m.alpha, 0.0), (0.0, m.alpha),
+               (m.alpha, m.gamma))
+    for lo, hi in regions:
+        for frac in (0.2, 0.5, 0.8):
+            x = lo + frac * (hi - lo)
+            chi, chi_slope, _bar, _bar_slope = sw._chi(m, x)
+            near = trial_values(m, np.array([x - h, x, x + h]))
+            scale = max(abs(chi), abs(chi_slope), 1.0)
+            assert chi == pytest.approx(near[1], rel=1e-14, abs=0.0)
+            centred = (near[2] - near[0]) / (2.0 * h)
+            assert abs(centred - chi_slope) <= 1e-8 * scale, (x, centred, chi_slope)
+
+
 def test_kernel_is_one_sided_and_wall_guarded(moderate_model):
     m = moderate_model
     assert ws.greens_function(m, 1.9, 0.7) == 0.0

@@ -34,6 +34,26 @@ def test_symmetric_quartic_trial_shape():
     assert np.all(np.diff(t.w.values) <= 1e-12)
 
 
+@pytest.mark.parametrize("g", [1.0 + 1e-9, 1.5, 2.0, 7.3, 40.0])
+@pytest.mark.parametrize("density", [25.0, 400.0, 1600.0])
+def test_symmetric_trial_is_the_zero_tilt_plus_half(g, density):
+    sym = ws.build_symmetric_quartic_trial(g, ws.quartic_grid(g, density))
+    full = ws.quartic_grid(g, density, full_line=True)
+    plus, _minus = ws.build_asymmetric_quartic_trial(g, 0.0, full)
+    assert np.array_equal(sym.grid.nodes, plus.grid.nodes)
+    assert sym.grid.segments == plus.grid.segments
+    assert np.array_equal(sym.w.values, plus.w.values)
+    assert dict(sym.w.jumps) == dict(plus.w.jumps)
+    assert np.array_equal(sym.V.values, plus.V.values)
+    assert sym.E0 == plus.E0 == g
+    # only the normalisation differs: log 2 against -log 2g + log(g + 1)
+    offset = sym.log_phi.values - plus.log_phi.values
+    expected = math.log(2.0) + math.log(2.0 * g) - math.log(g + 1.0)
+    scale = max(1.0, float(np.max(np.abs(sym.log_phi.values))))
+    assert np.max(np.abs(offset - expected)) <= 1e-12 * scale
+    assert sym.label == f"sym_quartic(g={g:g})"
+
+
 def test_asymmetric_pair_seed_energies():
     g = ws.quartic_grid(5.0, 80.0, full_line=True)
     tp, tm = ws.build_asymmetric_quartic_trial(5.0, 0.2, g)
