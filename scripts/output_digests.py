@@ -6,7 +6,9 @@ a label. A run's console output (exit code, stdout and stderr, with the
 temporary directory's path masked) is one output, and every file it
 writes is another. Two checkouts whose outputs agree byte for byte print
 identical lines, so diffing this script's output before and after a
-change shows whether any output byte moved.
+change shows whether any output byte moved. The failing command lines
+come last: each should end in one stderr line and its documented exit
+code.
 
 Usage:
     PYTHONPATH=src python scripts/output_digests.py
@@ -27,8 +29,8 @@ from wellsolver import cli
 README_WELL = ["--w", "3", "--mu", "0.7071067811865476", "--alpha", "1",
                "--beta", "2"]
 
-# (name of the output file or None, command line); "{out}" is replaced by
-# the output path, "{dir}" by the temporary directory
+# (name of the output file, command line); "--out <output path>" is
+# appended to each command line
 SOLVES = [
     ("harmonic.csv", ["solve", "harmonic", "--g", "2"]),
     ("sym_a_100.csv", ["solve", "sym_quartic", "--g", "2",
@@ -82,6 +84,52 @@ SWEEPS = {
 }
 
 
+# (name of the output to digest if it appears, or None; command line);
+# "{dir}" is replaced by the temporary directory. The first five are one
+# configuration error per verb but certify; then two faulty
+# traces, an eigensolve failure (exit 6), an unconverged half-line stage
+# (exit 5), a grid too large to allocate and an unsupported tilt (exit 4),
+# two unusable sweep configs, and an output that cannot be written for
+# every verb.
+SQUAREWELL = ["squarewell", *README_WELL, "--grid-density", "100"]
+ORACLE = ["oracle", "sym_quartic", "--g", "2", "--grid-density", "100"]
+TWOLEVEL = ["twolevel", "--e-inf", "1.5", "--lam", "0.01", "--mu-sq", "0.5"]
+FAILURES = [
+    (None, ["solve", "sym_quartic", "--g", "0.5"]),
+    (None, ["squarewell", "--w", "3", "--mu", "4", "--alpha", "1",
+            "--beta", "2"]),
+    (None, ["twolevel", "--e-inf", "1", "--lam", "1e200", "--mu-sq", "0"]),
+    (None, ["oracle", "sym_quartic", "--g", "2", "--levels", "0"]),
+    ("bad_base", ["sweep", "--config", "{dir}/bad_base.json",
+                  "--outdir", "{dir}/bad_base"]),
+    (None, ["certify", "{dir}/missing.csv"]),
+    (None, ["certify", "{dir}/malformed.csv"]),
+    (None, ["oracle", "asym_quartic", "--g", "30", "--lam", "0",
+            "--grid-density", "100"]),
+    (None, ["solve", "asym_quartic", "--g", "2", "--lam", "0.5",
+            "--grid-density", "25"]),
+    (None, ["solve", "sym_quartic", "--g", "2", "--grid-density", "1e12"]),
+    (None, ["solve", "asym_quartic", "--g", "4", "--lam", "0.85"]),
+    ("bad_version", ["sweep", "--config", "{dir}/bad_version.json",
+                     "--outdir", "{dir}/bad_version"]),
+    ("no_config", ["sweep", "--config", "{dir}/missing.json",
+                   "--outdir", "{dir}/no_config"]),
+    (None, ["solve", "sym_quartic", "--g", "2", "--out", "{dir}/missing/t.csv"]),
+    (None, ["certify", "{dir}/harmonic.csv", "--out", "{dir}/missing/c.json"]),
+    (None, [*SQUAREWELL, "--out", "{dir}/missing/sw.txt"]),
+    (None, [*SQUAREWELL, "--format", "json", "--out", "{dir}/missing/sw.json"]),
+    (None, [*ORACLE, "--out", "{dir}/missing/o.txt"]),
+    (None, [*ORACLE, "--format", "json", "--out", "{dir}/missing/o.json"]),
+    (None, [*TWOLEVEL, "--out", "{dir}/missing/tl.txt"]),
+    (None, [*TWOLEVEL, "--format", "json", "--out", "{dir}/missing/tl.json"]),
+    (None, ["sweep", "--config", "{dir}/sym_g.json",
+            "--outdir", "{dir}/malformed.csv"]),
+    # the point files are written, then the manifest, a directory, is not
+    ("manifest_dir", ["sweep", "--config", "{dir}/sym_g.json",
+                      "--outdir", "{dir}/manifest_dir"]),
+]
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -111,13 +159,25 @@ def main() -> int:
             config.write_text(json.dumps(doc))
             runs.append((sweep, ["sweep", "--config", str(config),
                                  "--outdir", str(tmp / sweep)]))
+        (tmp / "malformed.csv").write_text("not a trace\n")
+        for sweep, doc in (
+            ("bad_version", {**SWEEPS["sym_g"], "version": "sweep-v0"}),
+            ("bad_base", {**SWEEPS["sym_g"], "base": ["sym_quartic"]}),
+        ):
+            (tmp / f"{sweep}.json").write_text(json.dumps(doc))
+        (tmp / "manifest_dir" / "manifest.json").mkdir(parents=True)
+        for fname, argv in FAILURES:
+            argv = [a.replace("{dir}", str(tmp)) for a in argv]
+            runs.append((fname, argv))
         for fname, argv in runs:
             label = " ".join(argv).replace(str(tmp), "<tmp>")
             lines.append(f"{_run(argv, tmp)}  console of {label}")
+            if fname is None:
+                continue
             written = tmp / fname
             files = sorted(written.iterdir()) if written.is_dir() else [written]
             for path in files:
-                if path.exists():
+                if path.is_file():
                     rel = path.relative_to(tmp)
                     lines.append(f"{_sha(path.read_bytes())}  {rel}")
     print("\n".join(lines))

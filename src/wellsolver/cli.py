@@ -14,6 +14,13 @@ Exit codes, shared by every verb:
 * 7 - internal error: an exception no verb expects, reported as one line
   ``internal error: <Type>: <message>`` (a defect, not a bad input)
 
+Verbs return only verdict and stop codes (0-3, 5); every failure they
+raise is mapped to its exit code and its one stderr line by ``main``,
+through the single ``_FAILURES`` table: a configuration error, a
+malformed trace and an I/O failure (an unwritable ``--out`` or sweep
+output included) exit 4, an eigensolve failure 6, an unconverged
+half-line stage its stop code, and anything else 7.
+
 Each problem is defined once, in the ``_PROBLEMS`` registry: its
 parameters and their ranges, its grid, its engine pipeline, its cases and
 its oracle potential. Every verb reads that one definition and offers
@@ -143,9 +150,18 @@ class ConfigError(ValueError):
     """Configuration outside the documented parameter ranges."""
 
 
+class _TraceError(ConfigError):
+    """A trace file that is not a ``solve`` product."""
+
+
 def _fmt(x: float) -> str:
     # shortest round-trip decimal; keeps identical configs byte-identical
     return f"{float(x):.17g}"
+
+
+def _json(doc: Mapping[str, Any]) -> str:
+    # every JSON document the CLI writes: sorted keys, so reruns are identical
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +455,7 @@ def write_trace(
     head = _trace_header(trace, cfg)
     rows = _trace_rows(trace)
     if fmt == "json":
-        doc = dict(head)
-        doc["rows"] = rows
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _json({**head, "rows": rows})
     if fmt != "csv":
         raise ConfigError(f"unknown trace format {fmt!r}")
     buf = io.StringIO()
@@ -467,25 +481,25 @@ def read_trace(text: str) -> dict[str, Any]:
     """Parse either trace format back into header fields plus rows.
 
     Raises ConfigError on anything that does not look like a cmd_solve
-    product (the certify verb maps that to exit 4).
+    product (exit 4, as a malformed trace).
     """
     stripped = text.lstrip()
     if not stripped:
-        raise ConfigError("empty trace file")
+        raise _TraceError("empty trace file")
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"trace is not valid JSON: {exc}") from exc
+            raise _TraceError(f"trace is not valid JSON: {exc}") from exc
         if doc.get("version") != TRACE_VERSION:
-            raise ConfigError("trace version marker missing or unsupported")
+            raise _TraceError("trace version marker missing or unsupported")
         for key in ("case", "rows"):
             if key not in doc:
-                raise ConfigError(f"trace lacks required field {key!r}")
+                raise _TraceError(f"trace lacks required field {key!r}")
         return doc
     lines = text.splitlines()
     if not lines or not lines[0].startswith(f"# {TRACE_VERSION} config="):
-        raise ConfigError("trace version marker missing or unsupported")
+        raise _TraceError("trace version marker missing or unsupported")
     head: dict[str, Any] = {
         "version": TRACE_VERSION,
         "config_hash": lines[0].split("config=", 1)[1].strip(),
@@ -501,10 +515,10 @@ def read_trace(text: str) -> dict[str, Any]:
         elif ln.strip():
             body.append(ln)
     if not body:
-        raise ConfigError("trace has no data rows")
+        raise _TraceError("trace has no data rows")
     reader = csv.DictReader(body)
     if reader.fieldnames is None or tuple(reader.fieldnames) != TRACE_COLUMNS:
-        raise ConfigError(
+        raise _TraceError(
             f"trace columns {reader.fieldnames} != expected {list(TRACE_COLUMNS)}"
         )
     rows = []
@@ -517,7 +531,7 @@ def read_trace(text: str) -> dict[str, Any]:
                 }
             )
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed trace row: {exc}") from exc
+        raise _TraceError(f"malformed trace row: {exc}") from exc
     head.update(
         {
             "case": meta.get("case", ""),
@@ -543,10 +557,10 @@ def certify_trace_file(doc: Mapping[str, Any]) -> dict[str, Any]:
     """
     case = doc.get("case")
     if case not in ("A", "B"):
-        raise ConfigError(f"trace case must be 'A' or 'B', got {case!r}")
+        raise _TraceError(f"trace case must be 'A' or 'B', got {case!r}")
     rows = doc["rows"]
     if len(rows) < 2:
-        raise ConfigError("trace needs the seed row plus at least one iterate")
+        raise _TraceError("trace needs the seed row plus at least one iterate")
     shifts = [float(r["shift"]) for r in rows[1:]]
     energy, cross = certify_shift_sequence(shifts, case)  # type: ignore[arg-type]
     f_verdicts: list[PairVerdict] = []
@@ -590,284 +604,20 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _report(args: argparse.Namespace, doc: Mapping[str, Any], lines: list[str]) -> None:
+    """Write a verb's report: ``doc`` with ``--format json``, else ``lines``."""
+    text = _json(doc) if args.format == "json" else "\n".join(lines) + "\n"
+    _emit(text, args.out)
+
+
 def _given(args: argparse.Namespace, names: Sequence[str]) -> dict[str, Any]:
     """The values of those ``names`` the verb's parser offers a flag for."""
     return {k: getattr(args, k) for k in names if hasattr(args, k)}
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The config a verb's flags describe; settings without a flag keep
-    their defaults, and another problem's parameter flags are refused."""
-    wanted = _PROBLEMS[args.problem].params
-    stray = [
-        _flag(k)
-        for k in _ALL_PARAMS
-        if k not in wanted and getattr(args, k, None) is not None
-    ]
-    if stray:
-        raise ConfigError(f"{args.problem} does not take {' '.join(stray)}")
-    missing = [_flag(k) for k in wanted if getattr(args, k) is None]
-    if missing:
-        raise ConfigError(f"{args.problem} needs {' '.join(missing)}")
-    return ExperimentConfig(
-        problem=args.problem,
-        params={k: getattr(args, k) for k in wanted},
-        grid=GridSpec(**_given(args, ("density", "x_max"))),
-        engine=IterateOptions(**_given(args, ("max_iter", "tol_e", "tol_f"))),
-        **_given(args, ("case",)),
-    )
-
-
-def _stop_exit(stop_reason: str, who: str = "") -> int:
-    """Exit code for an engine stop reason, printing the reason if not 0.
-
-    ``who`` prefixes the reason line, naming the run that stopped when it
-    is not the one the verb reports on.
-    """
-    if stop_reason not in _STOP_EXITS:
-        return EXIT_OK
-    code, reason = _STOP_EXITS[stop_reason]
-    print(who + reason, file=sys.stderr)
-    return code
-
-
-def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        cfg = _config_from_args(args)
-        trace = run_problem(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except hierarchy.HalfLineStageError as exc:
-        return _stop_exit(exc.stop_reason, f"half-line stage '{exc.label}' ")
-    try:
-        _emit(write_trace(trace, cfg, args.format), args.out)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    code = _stop_exit(trace.stop_reason)
-    if code != EXIT_OK:
-        return code
-    report = hierarchy.certify(trace)
-    if not report.ok:
-        print(
-            f"converged but certification failed (worst margin "
-            f"{report.worst_margin:.3e})",
-            file=sys.stderr,
-        )
-        return EXIT_VERDICT
-    print(
-        f"converged: E_limit={_fmt(trace.E_limit)} after "
-        f"{len(trace.states) - 1} iterations; certified ok",
-        file=sys.stderr,
-    )
-    return EXIT_OK
-
-
-def cmd_certify(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.trace).read_text()
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        doc = read_trace(text)
-        report = certify_trace_file(doc)
-    except ConfigError as exc:
-        print(f"malformed trace: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    body = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    try:
-        _emit(body, args.out)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.out not in (None, "-"):
-        print(
-            f"{'ok' if report['ok'] else 'FAILED'}: worst margin "
-            f"{report['worst_margin']:.3e}",
-            file=sys.stderr,
-        )
-    return EXIT_OK if report["ok"] else EXIT_VERDICT
-
-
-def cmd_squarewell(args: argparse.Namespace) -> int:
-    try:
-        cfg = _config_from_args(args)
-        (model, grid), well, (V, v_func) = _build(cfg, "trial", "potential")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    spec = _PROBLEMS[cfg.problem]
-    trace = spec.run(well, cfg.case, cfg.engine)
-    E_engine = trace.states[-1].E_n
-
-    try:
-        fd = oracle.fd_ground_state(
-            V, v_func=v_func, mirror_even=spec.reflecting, levels=2
-        )
-    except oracle.EigensolveError as exc:
-        print(f"oracle error: {exc}", file=sys.stderr)
-        return EXIT_EIGENSOLVE
-
-    shift = sw.exact_shift(model, grid)
-    tl = sw.two_level_from_model(model)
-
-    E_t = model.E
-    report = {
-        "version": "squarewell-v1",
-        "config_hash": config_hash(cfg),
-        "model": {
-            "W": model.W,
-            "mu": model.mu,
-            "alpha": model.alpha,
-            "beta": model.beta,
-            "delta": model.delta,
-            "lam": model.lam,
-            "shape": model.shape,
-            "E_a": model.E_a,
-            "E_b": model.E_b,
-        },
-        "E_transcendental": E_t,
-        "E_engine": E_engine,
-        "E_oracle": fd.E_ground,
-        "E_two_level": tl.E,
-        "E_overlap_route": model.E_a - shift,
-        "engine_stop_reason": trace.stop_reason,
-        "engine_iterations": len(trace.states) - 1,
-        "diff_engine": E_engine - E_t,
-        "diff_oracle": fd.E_ground - E_t,
-        "diff_two_level": tl.E - E_t,
-        "diff_overlap_route": (model.E_a - shift) - E_t,
-    }
-    if args.format == "json":
-        _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
-        return _stop_exit(trace.stop_reason)
-    lines = [
-        f"double square well: W={_fmt(model.W)} mu={_fmt(model.mu)} "
-        f"alpha={_fmt(model.alpha)} beta={_fmt(model.beta)}",
-        f"  tunneling split lam={_fmt(model.lam)}  well offset "
-        f"delta={_fmt(model.delta)}  profile={model.shape}",
-        "",
-        f"  {'route':<18}{'E':>24}{'diff vs transcendental':>26}",
-        f"  {'transcendental':<18}{_fmt(E_t):>24}{'':>26}",
-        f"  {'engine':<18}{_fmt(E_engine):>24}{_fmt(report['diff_engine']):>26}",
-        f"  {'oracle':<18}{_fmt(fd.E_ground):>24}{_fmt(report['diff_oracle']):>26}",
-        f"  {'two-level':<18}{_fmt(tl.E):>24}{_fmt(report['diff_two_level']):>26}",
-        f"  {'overlap ratio':<18}{_fmt(report['E_overlap_route']):>24}"
-        f"{_fmt(report['diff_overlap_route']):>26}",
-        "",
-        f"  engine: {trace.stop_reason} after {len(trace.states) - 1} iterations",
-        "",
-    ]
-    _emit("\n".join(lines), args.out)
-    return _stop_exit(trace.stop_reason)
-
-
-def cmd_twolevel(args: argparse.Namespace) -> int:
-    try:
-        cfg = _config_from_args(args)
-        validate_config(cfg)
-        p = {k: float(v) for k, v in cfg.params.items()}
-        tl = sw.two_level(p["E_inf"], p["lam"], p["mu_sq"])
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    report = {
-        "version": "twolevel-v1",
-        "config_hash": config_hash(cfg),
-        "E_inf": tl.E_inf,
-        "lam": tl.lam,
-        "mu_sq": tl.mu_sq,
-        "E": tl.E,
-        "shift_below_E_inf": tl.E_inf - tl.E,
-        "mixing_angle": tl.mixing_angle,
-    }
-    if args.format == "json":
-        _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
-        return EXIT_OK
-    _emit(
-        "\n".join(
-            [
-                f"two-level reduction: E_inf={_fmt(tl.E_inf)} "
-                f"lam={_fmt(tl.lam)} mu_sq={_fmt(tl.mu_sq)}",
-                f"  ground energy  E = {_fmt(tl.E)}",
-                f"  shift below E_inf = {_fmt(tl.E_inf - tl.E)}",
-                f"  mixing angle      = {_fmt(tl.mixing_angle)}",
-                "",
-            ]
-        ),
-        args.out,
-    )
-    return EXIT_OK
-
-
-def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        cfg = _config_from_args(args)
-        if args.levels < 1:
-            raise ConfigError("--levels must be at least 1")
-        _domain, (V, v_func) = _build(cfg, "potential")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        res = oracle.fd_ground_state(
-            V,
-            v_func=v_func,
-            mirror_even=_PROBLEMS[cfg.problem].reflecting,
-            levels=args.levels,
-        )
-    except oracle.EigensolveError as exc:
-        print(f"oracle error: {exc}", file=sys.stderr)
-        return EXIT_EIGENSOLVE
-    ref = res.refinement
-    # a single level has no refinement study: its raw eigenvalue stands alone
-    levels = (
-        [(res.grid.n_nodes, res.E_ground)]
-        if ref is None
-        else [(lv.n_nodes, lv.energy) for lv in ref.levels]
-    )
-    report = {
-        "version": "oracle-v1",
-        "config_hash": config_hash(cfg),
-        "E_ground": res.E_ground,
-        "levels": [{"n_nodes": nodes, "E": e} for nodes, e in levels],
-        "error_estimate": None if ref is None else ref.error_estimate,
-    }
-    if args.format == "json":
-        _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
-        return EXIT_OK
-    lines = [f"oracle ground energy: {_fmt(res.E_ground)}"]
-    for nodes, e in levels:
-        lines.append(f"  {nodes:>8} nodes -> E = {_fmt(e)}")
-    if ref is not None:
-        lines.append(f"  Richardson error estimate ~ {ref.error_estimate:.3e}")
-    lines.append("")
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# sweep
-
-
-def _apply_override(doc: dict[str, Any], dotted: str, value: Any) -> None:
-    keys = dotted.split(".")
-    cur: Any = doc
-    for k in keys[:-1]:
-        if k not in cur or not isinstance(cur[k], dict):
-            cur[k] = {}
-        cur = cur[k]
-    cur[keys[-1]] = value
-
-
 def _config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
-    """The config a sweep point's document describes; a key the config
-    does not have, at any level, is refused rather than ignored."""
+    """The config a document describes; a key the config does not have,
+    at any level, is refused rather than ignored."""
     try:
         grid_doc = dict(doc.get("grid", {}))
         engine_doc = dict(doc.get("engine", {}))
@@ -903,6 +653,215 @@ def _config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config document: {exc}") from exc
+
+
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The config a verb's flags describe; settings without a flag keep
+    their defaults, and another problem's parameter flags are refused."""
+    wanted = _PROBLEMS[args.problem].params
+    stray = [
+        _flag(k)
+        for k in _ALL_PARAMS
+        if k not in wanted and getattr(args, k, None) is not None
+    ]
+    if stray:
+        raise ConfigError(f"{args.problem} does not take {' '.join(stray)}")
+    missing = [_flag(k) for k in wanted if getattr(args, k) is None]
+    if missing:
+        raise ConfigError(f"{args.problem} needs {' '.join(missing)}")
+    return _config_from_dict(
+        {
+            "problem": args.problem,
+            "params": {k: getattr(args, k) for k in wanted},
+            "grid": _given(args, ("density", "x_max")),
+            "engine": _given(args, ("max_iter", "tol_e", "tol_f")),
+            **_given(args, ("case",)),
+        }
+    )
+
+
+def _stop_exit(stop_reason: str, who: str = "") -> int:
+    """Exit code for an engine stop reason, printing the reason if not 0.
+
+    ``who`` prefixes the reason line, naming the run that stopped when it
+    is not the one the verb reports on.
+    """
+    if stop_reason not in _STOP_EXITS:
+        return EXIT_OK
+    code, reason = _STOP_EXITS[stop_reason]
+    print(who + reason, file=sys.stderr)
+    return code
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    cfg = _config_from_args(args)
+    trace = run_problem(cfg)
+    _emit(write_trace(trace, cfg, args.format), args.out)
+    code = _stop_exit(trace.stop_reason)
+    if code != EXIT_OK:
+        return code
+    report = hierarchy.certify(trace)
+    if not report.ok:
+        print(
+            f"converged but certification failed (worst margin "
+            f"{report.worst_margin:.3e})",
+            file=sys.stderr,
+        )
+        return EXIT_VERDICT
+    print(
+        f"converged: E_limit={_fmt(trace.E_limit)} after "
+        f"{len(trace.states) - 1} iterations; certified ok",
+        file=sys.stderr,
+    )
+    return EXIT_OK
+
+
+def cmd_certify(args: argparse.Namespace) -> int:
+    report = certify_trace_file(read_trace(Path(args.trace).read_text()))
+    _emit(_json(report), args.out)
+    if args.out not in (None, "-"):
+        print(
+            f"{'ok' if report['ok'] else 'FAILED'}: worst margin "
+            f"{report['worst_margin']:.3e}",
+            file=sys.stderr,
+        )
+    return EXIT_OK if report["ok"] else EXIT_VERDICT
+
+
+def cmd_squarewell(args: argparse.Namespace) -> int:
+    cfg = _config_from_args(args)
+    (model, grid), well, (V, v_func) = _build(cfg, "trial", "potential")
+    spec = _PROBLEMS[cfg.problem]
+    trace = spec.run(well, cfg.case, cfg.engine)
+    E_engine = trace.states[-1].E_n
+    fd = oracle.fd_ground_state(
+        V, v_func=v_func, mirror_even=spec.reflecting, levels=2
+    )
+    shift = sw.exact_shift(model, grid)
+    tl = sw.two_level_from_model(model)
+
+    E_t = model.E
+    report = {
+        "version": "squarewell-v1",
+        "config_hash": config_hash(cfg),
+        "model": {
+            "W": model.W,
+            "mu": model.mu,
+            "alpha": model.alpha,
+            "beta": model.beta,
+            "delta": model.delta,
+            "lam": model.lam,
+            "shape": model.shape,
+            "E_a": model.E_a,
+            "E_b": model.E_b,
+        },
+        "E_transcendental": E_t,
+        "E_engine": E_engine,
+        "E_oracle": fd.E_ground,
+        "E_two_level": tl.E,
+        "E_overlap_route": model.E_a - shift,
+        "engine_stop_reason": trace.stop_reason,
+        "engine_iterations": len(trace.states) - 1,
+        "diff_engine": E_engine - E_t,
+        "diff_oracle": fd.E_ground - E_t,
+        "diff_two_level": tl.E - E_t,
+        "diff_overlap_route": (model.E_a - shift) - E_t,
+    }
+    lines = [
+        f"double square well: W={_fmt(model.W)} mu={_fmt(model.mu)} "
+        f"alpha={_fmt(model.alpha)} beta={_fmt(model.beta)}",
+        f"  tunneling split lam={_fmt(model.lam)}  well offset "
+        f"delta={_fmt(model.delta)}  profile={model.shape}",
+        "",
+        f"  {'route':<18}{'E':>24}{'diff vs transcendental':>26}",
+        f"  {'transcendental':<18}{_fmt(E_t):>24}{'':>26}",
+        f"  {'engine':<18}{_fmt(E_engine):>24}{_fmt(report['diff_engine']):>26}",
+        f"  {'oracle':<18}{_fmt(fd.E_ground):>24}{_fmt(report['diff_oracle']):>26}",
+        f"  {'two-level':<18}{_fmt(tl.E):>24}{_fmt(report['diff_two_level']):>26}",
+        f"  {'overlap ratio':<18}{_fmt(report['E_overlap_route']):>24}"
+        f"{_fmt(report['diff_overlap_route']):>26}",
+        "",
+        f"  engine: {trace.stop_reason} after {len(trace.states) - 1} iterations",
+    ]
+    _report(args, report, lines)
+    return _stop_exit(trace.stop_reason)
+
+
+def cmd_twolevel(args: argparse.Namespace) -> int:
+    cfg = _config_from_args(args)
+    validate_config(cfg)
+    p = {k: float(v) for k, v in cfg.params.items()}
+    try:
+        tl = sw.two_level(p["E_inf"], p["lam"], p["mu_sq"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    report = {
+        "version": "twolevel-v1",
+        "config_hash": config_hash(cfg),
+        "E_inf": tl.E_inf,
+        "lam": tl.lam,
+        "mu_sq": tl.mu_sq,
+        "E": tl.E,
+        "shift_below_E_inf": tl.E_inf - tl.E,
+        "mixing_angle": tl.mixing_angle,
+    }
+    lines = [
+        f"two-level reduction: E_inf={_fmt(tl.E_inf)} "
+        f"lam={_fmt(tl.lam)} mu_sq={_fmt(tl.mu_sq)}",
+        f"  ground energy  E = {_fmt(tl.E)}",
+        f"  shift below E_inf = {_fmt(tl.E_inf - tl.E)}",
+        f"  mixing angle      = {_fmt(tl.mixing_angle)}",
+    ]
+    _report(args, report, lines)
+    return EXIT_OK
+
+
+def cmd_oracle(args: argparse.Namespace) -> int:
+    cfg = _config_from_args(args)
+    if args.levels < 1:
+        raise ConfigError("--levels must be at least 1")
+    _domain, (V, v_func) = _build(cfg, "potential")
+    res = oracle.fd_ground_state(
+        V,
+        v_func=v_func,
+        mirror_even=_PROBLEMS[cfg.problem].reflecting,
+        levels=args.levels,
+    )
+    ref = res.refinement
+    # a single level has no refinement study: its raw eigenvalue stands alone
+    levels = (
+        [(res.grid.n_nodes, res.E_ground)]
+        if ref is None
+        else [(lv.n_nodes, lv.energy) for lv in ref.levels]
+    )
+    report = {
+        "version": "oracle-v1",
+        "config_hash": config_hash(cfg),
+        "E_ground": res.E_ground,
+        "levels": [{"n_nodes": nodes, "E": e} for nodes, e in levels],
+        "error_estimate": None if ref is None else ref.error_estimate,
+    }
+    lines = [f"oracle ground energy: {_fmt(res.E_ground)}"]
+    for nodes, e in levels:
+        lines.append(f"  {nodes:>8} nodes -> E = {_fmt(e)}")
+    if ref is not None:
+        lines.append(f"  Richardson error estimate ~ {ref.error_estimate:.3e}")
+    _report(args, report, lines)
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# sweep
+
+
+def _apply_override(doc: dict[str, Any], dotted: str, value: Any) -> None:
+    keys = dotted.split(".")
+    cur: Any = doc
+    for k in keys[:-1]:
+        if k not in cur or not isinstance(cur[k], dict):
+            cur[k] = {}
+        cur = cur[k]
+    cur[keys[-1]] = value
 
 
 def _sweep_points(doc: Mapping[str, Any]) -> list[dict[str, Any]]:
@@ -946,7 +905,7 @@ def _run_sweep_point(
                 "E_limit": trace.E_limit,
             }
         )
-    except (ConfigError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         entry.update({"status": "error", "error": str(exc)})
     return entry
 
@@ -954,31 +913,16 @@ def _run_sweep_point(
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         doc = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if doc.get("version") != SWEEP_VERSION:
-        print(
-            f"config error: sweep config must carry version={SWEEP_VERSION!r}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    if not isinstance(doc, Mapping) or doc.get("version") != SWEEP_VERSION:
+        raise ConfigError(f"sweep config must carry version={SWEEP_VERSION!r}")
     base = doc.get("base")
     if not isinstance(base, Mapping):
-        print("config error: sweep config needs a 'base' config object",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        points = _sweep_points(doc)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("sweep config needs a 'base' config object")
+    points = _sweep_points(doc)
     outdir = Path(args.outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    outdir.mkdir(parents=True, exist_ok=True)
 
     entries = [
         _run_sweep_point(i, base, ov, outdir, args.format)
@@ -990,9 +934,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "n_points": len(entries),
         "points": entries,
     }
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    (outdir / "manifest.json").write_text(_json(manifest))
     failed = [e for e in entries if e.get("status") == "error"]
     converged = sum(1 for e in entries if e.get("converged"))
     print(
@@ -1001,6 +943,43 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return EXIT_VERDICT if failed else EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# the exit policy
+#
+# Verbs raise; main() maps what they raise to its exit code and its one
+# stderr line here, and nowhere else. Rows are tried in order, so a
+# subclass comes before its base. A package module's class is named
+# "module.Class" and looked up only once that module is imported: nothing
+# it defines can be raised before, and naming it must not import numpy
+# into a certify run. A code of None exits on the exception's stop reason.
+
+_FAILURES: tuple[tuple[type[Exception] | str, int | None, str], ...] = (
+    (_TraceError, EXIT_CONFIG, "malformed trace: {msg}"),
+    (ConfigError, EXIT_CONFIG, "config error: {msg}"),
+    (OSError, EXIT_CONFIG, "i/o error: {msg}"),
+    ("oracle.EigensolveError", EXIT_EIGENSOLVE, "oracle error: {msg}"),
+    ("hierarchy.HalfLineStageError", None, "half-line stage '{exc.label}' "),
+    (Exception, EXIT_INTERNAL, "internal error: {type}: {msg}"),
+)
+
+
+def _exit_on(exc: Exception) -> int:
+    """Print the one line ``exc`` ends its run with; return the exit code."""
+    for kind, code, line in _FAILURES:
+        if isinstance(kind, str):
+            module, _, name = kind.partition(".")
+            kind = getattr(sys.modules.get(f"{__package__}.{module}"), name, ())
+        if isinstance(exc, kind):
+            break
+    text = line.format(
+        exc=exc, type=type(exc).__name__, msg=" ".join(str(exc).splitlines())
+    )
+    if code is None:
+        return _stop_exit(exc.stop_reason, text)  # type: ignore[attr-defined]
+    print(text, file=sys.stderr)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -1098,10 +1077,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG if code else EXIT_OK
     try:
         return args.fn(args)
-    except Exception as exc:  # every input a verb refuses has its own code
-        message = " ".join(str(exc).splitlines())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:
+        return _exit_on(exc)
 
 
 if __name__ == "__main__":

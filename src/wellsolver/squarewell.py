@@ -55,6 +55,7 @@ from math import (
     sqrt,
     tan,
     tanh,
+    ulp,
 )
 from typing import Callable, Literal, Mapping, Sequence
 
@@ -788,7 +789,23 @@ def wronskian_overlap_residuals(
     the two sides cancel, which is exactly what fixes the energy shift as
     the overlap ratio. Returns ``(origin_sum, pointwise_max)``, both as
     relative residuals.
+
+    Each side's coefficient ``E - E_a`` or ``E - E_b`` is formed by
+    cancellation, so the residuals carry at least its relative roundoff,
+    ulp(max(|E|, |E_side|)) / |E - E_side|. Raises RegimeError when that
+    figure exceeds 1e-8 on either side (deep tunneling, or mu = 0 where
+    the gap is zero): there the residuals measure roundoff, not
+    consistency.
     """
+    cancellation = max(
+        ulp(max(abs(m.E), abs(e))) / abs(m.E - e) if m.E != e else inf
+        for e in (m.E_a, m.E_b)
+    )
+    if cancellation > 1e-8:
+        raise RegimeError(
+            f"energy gap cancellation {cancellation:.2e} exceeds 1e-8; "
+            "the residuals would measure roundoff"
+        )
     prod = trial_values(m, grid.nodes) * ground_state_values(m, grid.nodes)
     # running integral from x up to the right wall (the "right" anchor is
     # traversed leftward, hence the sign flip)

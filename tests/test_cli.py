@@ -602,7 +602,8 @@ _FOOTPRINT_PROBE = """
 import json, sys
 from wellsolver import cli
 
-WATCHED = ("numpy", "fractions", "wellsolver.oracle", "wellsolver.squarewell")
+WATCHED = ("numpy", "fractions", "wellsolver.hierarchy", "wellsolver.oracle",
+           "wellsolver.squarewell")
 
 def loaded():
     return [m for m in WATCHED if m in sys.modules]
@@ -611,6 +612,10 @@ trace, sweep, outdir = sys.argv[1:4]
 seen = {"import": loaded()}
 assert cli.main(["certify", trace, "--out", outdir + "/c.json"]) == 0
 seen["certify"] = loaded()
+assert cli.main(["certify", outdir + "/missing.csv"]) == 4
+seen["certify_missing"] = loaded()
+assert cli.main(["certify", outdir + "/junk.csv"]) == 4
+seen["certify_malformed"] = loaded()
 assert cli.main(["solve", "sym_quartic", "--g", "2", "--grid-density", "150",
                  "--out", outdir + "/t.csv"]) == 0
 assert cli.main(["sweep", "--config", sweep, "--outdir", outdir]) == 0
@@ -630,15 +635,19 @@ def test_cold_verbs_load_only_what_they_run(tmp_path, capsys):
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps(sweep_doc(sweep={"params.g": [2.0, 3.0]})))
     outdir.mkdir()
+    (outdir / "junk.csv").write_text("not a trace\n")
     seen = _probe(_FOOTPRINT_PROBE, trace, sweep, outdir)
     assert seen == {
         # certify runs on the standard library and wellsolver.ordering
         "import": [],
         "certify": [],
+        # and mapping its failures to exit codes imports nothing more
+        "certify_missing": [],
+        "certify_malformed": [],
         # the sym_quartic engine needs grid, trialgen and hierarchy only
-        "sym_quartic": ["numpy"],
-        "squarewell": ["numpy", "fractions", "wellsolver.oracle",
-                       "wellsolver.squarewell"],
+        "sym_quartic": ["numpy", "wellsolver.hierarchy"],
+        "squarewell": ["numpy", "fractions", "wellsolver.hierarchy",
+                       "wellsolver.oracle", "wellsolver.squarewell"],
     }
 
 
@@ -669,6 +678,57 @@ def test_unexpected_exception_exits_internal(monkeypatch, capsys):
     assert rc == cli.EXIT_INTERNAL == 7
     assert out == ""
     assert err.splitlines() == ["internal error: RuntimeError: two lines"]
+
+
+_REPORTS = {
+    "squarewell": ["squarewell", "--w", "3", "--mu", "0.7", "--alpha", "1",
+                   "--beta", "2", "--grid-density", "100"],
+    "oracle": ["oracle", "sym_quartic", "--g", "2", "--grid-density", "100"],
+    "twolevel": ["twolevel", "--e-inf", "1.5", "--lam", "0.01",
+                 "--mu-sq", "0.5"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("verb", sorted(_REPORTS))
+def test_report_to_a_missing_directory_is_an_io_error(tmp_path, capsys, verb, fmt):
+    out = tmp_path / "missing" / "report"
+    rc, stdout, err = run(
+        [*_REPORTS[verb], "--format", fmt, "--out", str(out)], capsys
+    )
+    assert rc == cli.EXIT_CONFIG
+    assert stdout == ""
+    assert err.splitlines() == [
+        f"i/o error: [Errno 2] No such file or directory: '{out}'"
+    ]
+
+
+def test_sweep_manifest_that_cannot_be_written_is_an_io_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(sweep_doc()))
+    outdir = tmp_path / "out"
+    (outdir / "manifest.json").mkdir(parents=True)
+    rc, stdout, err = run(
+        ["sweep", "--config", str(cfg), "--outdir", str(outdir)], capsys
+    )
+    assert rc == cli.EXIT_CONFIG
+    assert stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("i/o error:")
+    assert "manifest.json" in lines[0]
+
+
+def test_two_level_model_refusal_is_a_config_error(capsys):
+    # lam * lam overflows, and the model refuses the energies it gets
+    rc, out, err = run(
+        ["twolevel", "--e-inf", "1", "--lam", "1e200", "--mu-sq", "0"], capsys
+    )
+    assert rc == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.splitlines() == [
+        "config error: positive offset cannot pull the ground state below "
+        "the zero-offset eigenvalue"
+    ]
 
 
 def test_unknown_verb_is_config_error():
@@ -917,6 +977,23 @@ def test_sweep_point_overflow_is_recorded_not_raised(tmp_path, capsys):
                         capsys)
     assert rc == cli.EXIT_VERDICT
     assert "1 converged, 1 failed" in err
+
+
+@pytest.mark.parametrize("body", [b"[1, 2]", b"\xff\xfe{}"])
+def test_sweep_config_that_is_no_json_object_is_a_config_error(
+    tmp_path, capsys, body
+):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_bytes(body)
+    rc, out, err = run(
+        ["sweep", "--config", str(cfg), "--outdir", str(tmp_path / "out")],
+        capsys,
+    )
+    assert rc == cli.EXIT_CONFIG
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_missing_config_file(tmp_path):

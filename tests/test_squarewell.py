@@ -230,6 +230,24 @@ def test_wronskian_overlap_residuals_are_tiny(moderate_model, moderate_grid):
     assert pointwise < 1e-9
 
 
+@pytest.mark.parametrize(
+    "geometry, figure",
+    [
+        # mu = 0: both channel energies equal E, the gaps are zero
+        ((3.0, 0.0, 1.0, 2.0), "inf"),
+        # deep tunneling: E - E_b is about 8e-15, formed by cancellation
+        ((8.0, 2.3845, 1.8472, 3.5642), "6.80e-03"),
+    ],
+)
+def test_wronskian_overlap_residuals_refuse_cancelled_gaps(geometry, figure):
+    m = ws.solve_asymmetric(*geometry)
+    with pytest.raises(sw.RegimeError) as info:
+        sw.wronskian_overlap_residuals(m, ws.squarewell_grid(m, 400.0))
+    message = str(info.value)
+    assert len(message.splitlines()) == 1
+    assert f"cancellation {figure} exceeds 1e-8" in message
+
+
 def test_first_iteration_energy_splits_the_gap(moderate_model):
     m = moderate_model
     E1 = ws.first_iteration_energy(m)
