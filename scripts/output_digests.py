@@ -84,10 +84,20 @@ SWEEPS = {
 }
 
 
+# Trace files that are not a solve product: junk, a JSON row without a
+# column, JSON rows that are not a list, and bytes that are not UTF-8.
+BAD_TRACES = {
+    "malformed.csv": b"not a trace\n",
+    "row_lacks_a_column.json":
+        b'{"version": "trace-v1", "case": "A", "rows": [{"n": 0}, {"n": 1}]}',
+    "rows_not_a_list.json": b'{"version": "trace-v1", "case": "A", "rows": 3}',
+    "not_utf8.csv": b"\xff\xfe# trace-v1 config=\n",
+}
+
 # (name of the output to digest if it appears, or None; command line);
 # "{dir}" is replaced by the temporary directory. The first five are one
-# configuration error per verb but certify; then two faulty
-# traces, an eigensolve failure (exit 6), an unconverged half-line stage
+# configuration error per verb but certify; then a missing trace and the
+# BAD_TRACES, an eigensolve failure (exit 6), an unconverged half-line stage
 # (exit 5), a grid too large to allocate and an unsupported tilt (exit 4),
 # two unusable sweep configs, and an output that cannot be written for
 # every verb.
@@ -103,7 +113,7 @@ FAILURES = [
     ("bad_base", ["sweep", "--config", "{dir}/bad_base.json",
                   "--outdir", "{dir}/bad_base"]),
     (None, ["certify", "{dir}/missing.csv"]),
-    (None, ["certify", "{dir}/malformed.csv"]),
+    *((None, ["certify", f"{{dir}}/{name}"]) for name in BAD_TRACES),
     (None, ["oracle", "asym_quartic", "--g", "30", "--lam", "0",
             "--grid-density", "100"]),
     (None, ["solve", "asym_quartic", "--g", "2", "--lam", "0.5",
@@ -159,7 +169,8 @@ def main() -> int:
             config.write_text(json.dumps(doc))
             runs.append((sweep, ["sweep", "--config", str(config),
                                  "--outdir", str(tmp / sweep)]))
-        (tmp / "malformed.csv").write_text("not a trace\n")
+        for name, body in BAD_TRACES.items():
+            (tmp / name).write_bytes(body)
         for sweep, doc in (
             ("bad_version", {**SWEEPS["sym_g"], "version": "sweep-v0"}),
             ("bad_base", {**SWEEPS["sym_g"], "base": ["sym_quartic"]}),

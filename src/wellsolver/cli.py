@@ -57,6 +57,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -143,6 +144,12 @@ TRACE_COLUMNS = (
     "f_mid",
     "f_step_max",
     "charge_residual",
+)
+# The two comment lines after a CSV trace's version line, as write_trace
+# lays them out. A label may hold spaces: it is everything before " case=".
+_CSV_META = re.compile(
+    r"# label=(.*) case=(\S*) anchor=(\S*) E0=(\S*)\n"
+    r"# stop_reason=(\S*) converged=(\S*) E_limit=(\S*)"
 )
 
 
@@ -496,55 +503,50 @@ def read_trace(text: str) -> dict[str, Any]:
         for key in ("case", "rows"):
             if key not in doc:
                 raise _TraceError(f"trace lacks required field {key!r}")
-        return doc
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(f"# {TRACE_VERSION} config="):
-        raise _TraceError("trace version marker missing or unsupported")
-    head: dict[str, Any] = {
-        "version": TRACE_VERSION,
-        "config_hash": lines[0].split("config=", 1)[1].strip(),
-    }
-    meta: dict[str, str] = {}
-    body: list[str] = []
-    for ln in lines[1:]:
-        if ln.startswith("#"):
-            for tok in ln[1:].split():
-                if "=" in tok:
-                    k, v = tok.split("=", 1)
-                    meta[k] = v
-        elif ln.strip():
-            body.append(ln)
-    if not body:
-        raise _TraceError("trace has no data rows")
-    reader = csv.DictReader(body)
-    if reader.fieldnames is None or tuple(reader.fieldnames) != TRACE_COLUMNS:
-        raise _TraceError(
-            f"trace columns {reader.fieldnames} != expected {list(TRACE_COLUMNS)}"
-        )
-    rows = []
-    try:
-        for rec in reader:
-            rows.append(
-                {
-                    "n": int(rec["n"]),
-                    **{c: float(rec[c]) for c in TRACE_COLUMNS[1:]},
-                }
+        if not isinstance(doc["rows"], list):
+            raise _TraceError("trace rows must be a list")
+        head, records = doc, doc["rows"]
+    else:
+        lines = text.splitlines()
+        if not lines or not lines[0].startswith(f"# {TRACE_VERSION} config="):
+            raise _TraceError("trace version marker missing or unsupported")
+        meta = _CSV_META.fullmatch("\n".join(lines[1:3]))
+        if meta is None:
+            raise _TraceError("trace comment lines are not the ones solve writes")
+        label, case, anchor, E0, stop_reason, converged, E_limit = meta.groups()
+        body = [ln for ln in lines[3:] if ln.strip()]
+        if not body:
+            raise _TraceError("trace has no data rows")
+        records = csv.DictReader(body)
+        if tuple(records.fieldnames or ()) != TRACE_COLUMNS:
+            raise _TraceError(
+                f"trace columns {records.fieldnames} != expected {list(TRACE_COLUMNS)}"
             )
-    except (TypeError, ValueError) as exc:
-        raise _TraceError(f"malformed trace row: {exc}") from exc
-    head.update(
-        {
-            "case": meta.get("case", ""),
-            "label": meta.get("label", ""),
-            "anchor": meta.get("anchor", ""),
-            "E0": float(meta["E0"]) if "E0" in meta else None,
-            "stop_reason": meta.get("stop_reason", ""),
-            "converged": meta.get("converged", "") == "True",
-            "E_limit": float(meta["E_limit"]) if meta.get("E_limit") else None,
-            "rows": rows,
+        try:
+            E0, E_limit = float(E0), float(E_limit) if E_limit else None
+        except ValueError as exc:
+            raise _TraceError(f"bad header value: {exc}") from exc
+        head = {
+            "version": TRACE_VERSION,
+            "config_hash": lines[0].split("config=", 1)[1].strip(),
+            "case": case,
+            "label": label,
+            "anchor": anchor,
+            "E0": E0,
+            "stop_reason": stop_reason,
+            "converged": converged == "True",
+            "E_limit": E_limit,
         }
-    )
-    return head
+    try:  # both formats' rows, typed column by column
+        rows = [
+            {"n": int(rec["n"]), **{c: float(rec[c]) for c in TRACE_COLUMNS[1:]}}
+            for rec in records
+        ]
+    except KeyError as exc:
+        raise _TraceError(f"row lacks column {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise _TraceError(f"bad row: {exc}") from exc
+    return {**head, "rows": rows}
 
 
 def certify_trace_file(doc: Mapping[str, Any]) -> dict[str, Any]:
@@ -717,7 +719,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    report = certify_trace_file(read_trace(Path(args.trace).read_text()))
+    try:
+        text = Path(args.trace).read_text()
+    except UnicodeDecodeError as exc:
+        raise _TraceError(f"not UTF-8 text: {exc}") from exc
+    report = certify_trace_file(read_trace(text))
     _emit(_json(report), args.out)
     if args.out not in (None, "-"):
         print(

@@ -45,11 +45,12 @@ class Grid:
 
     ``segments`` lists (first_node_index, last_node_index, spacing) per
     uniform stretch; consecutive segments share their boundary node.
+    Derived, not stored: ``breakpoints`` (the interior segment-end nodes),
+    ``boundary_indices``, ``x_min``, ``x_max`` and ``n_nodes``.
     """
 
     nodes: Array
     segments: tuple[tuple[int, int, float], ...]
-    breakpoints: tuple[float, ...]
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=np.float64)
@@ -84,6 +85,11 @@ class Grid:
         return int(self.nodes.size)
 
     @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """Interior segment-end nodes: the cuts the segments were tiled on."""
+        return tuple(float(self.nodes[i1]) for _i0, i1, _h in self.segments[:-1])
+
+    @property
     def boundary_indices(self) -> tuple[int, ...]:
         """Node indices where a segment starts or ends (jumps allowed here)."""
         idx = {0, self.n_nodes - 1}
@@ -92,12 +98,11 @@ class Grid:
             idx.add(i1)
         return tuple(sorted(idx))
 
-    def index_of(self, x: float, *, tol: float = 0.0) -> int:
-        """Index of the node equal to ``x`` (within ``tol``)."""
+    def index_of(self, x: float) -> int:
+        """Index of the node equal to ``x``, exactly."""
         j = int(np.searchsorted(self.nodes, x))
-        for k in (j - 1, j, j + 1):
-            if 0 <= k < self.nodes.size and abs(self.nodes[k] - x) <= tol:
-                return k
+        if j < self.nodes.size and self.nodes[j] == x:
+            return j
         raise KeyError(f"{x!r} is not a grid node")
 
     def refined(self, factor: int = 2) -> "Grid":
@@ -108,7 +113,7 @@ class Grid:
             (float(self.nodes[i0]), float(self.nodes[i1]), (i1 - i0) * factor)
             for i0, i1, _h in self.segments
         )
-        return _tile(spans, self.breakpoints)
+        return _tile(spans)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,12 +178,10 @@ def make_grid(
         return n + n % 2  # round up to even
 
     spans = ((a, b, panels(a, b)) for a, b in zip(edges[:-1], edges[1:]))
-    return _tile(spans, tuple(cuts))
+    return _tile(spans)
 
 
-def _tile(
-    spans: Iterable[tuple[float, float, int]], breakpoints: tuple[float, ...]
-) -> Grid:
+def _tile(spans: Iterable[tuple[float, float, int]]) -> Grid:
     """Grid of uniform segments, one per ``(a, b, n_panels)`` span, in order.
 
     Consecutive spans share their boundary node, which the first of them
@@ -192,7 +195,7 @@ def _tile(
         pieces.append(xs[1:] if pieces else xs)
         segs.append((first, first + n, (b - a) / n))
         first += n
-    return Grid(np.concatenate(pieces), tuple(segs), breakpoints)
+    return Grid(np.concatenate(pieces), tuple(segs))
 
 
 def slice_grid(grid: Grid, x_lo: float, x_hi: float) -> Grid:
@@ -213,8 +216,7 @@ def slice_grid(grid: Grid, x_lo: float, x_hi: float) -> Grid:
         for i0, i1, h in grid.segments
         if i0 >= j_lo and i1 <= j_hi
     )
-    cuts = tuple(b for b in grid.breakpoints if x_lo < b < x_hi)
-    return Grid(grid.nodes[j_lo : j_hi + 1].copy(), segs, cuts)
+    return Grid(grid.nodes[j_lo : j_hi + 1].copy(), segs)
 
 
 def mirror_grid(grid: Grid) -> Grid:
@@ -228,8 +230,7 @@ def mirror_grid(grid: Grid) -> Grid:
     segs = tuple(
         (n_last - i1, n_last - i0, h) for i0, i1, h in reversed(grid.segments)
     )
-    cuts = tuple(sorted(-b + 0.0 for b in grid.breakpoints))
-    return Grid(-grid.nodes[::-1] + 0.0, segs, cuts)
+    return Grid(-grid.nodes[::-1] + 0.0, segs)
 
 
 def concat_grids(left: Grid, right: Grid) -> Grid:
@@ -240,10 +241,7 @@ def concat_grids(left: Grid, right: Grid) -> Grid:
     segs = left.segments + tuple(
         (i0 + off, i1 + off, h) for i0, i1, h in right.segments
     )
-    cuts = tuple(
-        sorted({*left.breakpoints, left.x_max, *right.breakpoints})
-    )
-    return Grid(np.concatenate((left.nodes, right.nodes[1:])), segs, cuts)
+    return Grid(np.concatenate((left.nodes, right.nodes[1:])), segs)
 
 
 def _segment_values(f: Samples, i0: int, i1: int) -> Array:

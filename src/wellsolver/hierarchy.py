@@ -105,17 +105,21 @@ class HalfLineStageError(RuntimeError):
 class IterationState:
     """One step of the recursion: shift, energy, ratio and charge brackets.
 
-    ``bracket_wf`` and ``bracket_f`` are [w f_{n-1}] and [f_{n-1}];
-    ``charge_total`` is what remains of [(w - shift_n) f_{n-1}].
+    ``bracket_wf`` and ``bracket_f`` are [w f_{n-1}] and [f_{n-1}].
+    Derived: ``charge_total``, what remains of [(w - shift_n) f_{n-1}],
+    and ``charge_residual``.
     """
 
     n: int
     f: Samples
     E_shift: float
     E_n: float
-    charge_total: float = 0.0
     bracket_wf: float = 0.0
     bracket_f: float = 0.0
+
+    @property
+    def charge_total(self) -> float:
+        return self.bracket_wf - self.E_shift * self.bracket_f
 
     @property
     def charge_residual(self) -> float:
@@ -128,19 +132,35 @@ class IterationState:
 
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
-    """Full record of a run; states[0] is the seed f0 == 1."""
+    """Full record of a run; states[0] is the seed f0 == 1.
+
+    Derived: ``E0``, the seed's energy; ``converged``, a stop on tolerance;
+    ``E_limit`` and ``f_limit``, the last state's if converged, else None.
+    """
 
     case: Case
     states: tuple[IterationState, ...]
-    converged: bool
-    E_limit: float | None
-    f_limit: Samples | None
     stop_reason: Literal[
         "tolerance", "max_iter", "positivity_violation", "nonfinite"
     ]
-    E0: float
     anchor: Anchor
     label: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tolerance"
+
+    @property
+    def E0(self) -> float:
+        return self.states[0].E_n
+
+    @property
+    def E_limit(self) -> float | None:
+        return self.states[-1].E_n if self.converged else None
+
+    @property
+    def f_limit(self) -> Samples | None:
+        return self.states[-1].f if self.converged else None
 
     @property
     def shifts(self) -> tuple[float, ...]:
@@ -153,27 +173,49 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class CertificationReport:
+    """The ordering verdicts of one run. Derived from them: ``degenerate``
+    (w = 0, a fixed point), ``ok`` (all pass) and ``worst_margin`` (the
+    smallest finite margin, NaN if none)."""
+
     case: Case
-    degenerate: bool
     energy_verdicts: tuple[PairVerdict, ...]
     f_verdicts: tuple[PairVerdict, ...]
     cross_verdicts: tuple[PairVerdict, ...]
-    worst_margin: float
-    floor: float
-    ok: bool
     notes: tuple[str, ...] = ()
+
+    @property
+    def _verdicts(self) -> tuple[PairVerdict, ...]:
+        return (*self.energy_verdicts, *self.f_verdicts, *self.cross_verdicts)
+
+    @property
+    def degenerate(self) -> bool:
+        return any(v.kind == "degenerate_w_zero" for v in self.energy_verdicts)
+
+    @property
+    def ok(self) -> bool:
+        return all(v.ok for v in self._verdicts)
+
+    @property
+    def worst_margin(self) -> float:
+        margins = [v.margin for v in self._verdicts if np.isfinite(v.margin)]
+        return min(margins) if margins else float("nan")
 
 
 @dataclass(frozen=True, eq=False)
 class HalfLinePair:
-    """Converged Case-A results of the two half-line problems."""
+    """Converged Case-A traces of the two half-line problems; ``E_plus``
+    and ``E_minus``, their limits, are derived."""
 
-    E_plus: float
-    f_plus: Samples
-    E_minus: float
-    f_minus: Samples
     trace_plus: IterationTrace
     trace_minus: IterationTrace
+
+    @property
+    def E_plus(self) -> float:
+        return float(self.trace_plus.E_limit)  # type: ignore[arg-type]
+
+    @property
+    def E_minus(self) -> float:
+        return float(self.trace_minus.E_limit)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,11 +458,7 @@ def _step(
 
 
 def _run_engine(
-    trial: TrialFunction,
-    case: Case,
-    anchor: Anchor,
-    opts: IterateOptions,
-    enforce_positivity: bool,
+    trial: TrialFunction, case: Case, anchor: Anchor, opts: IterateOptions
 ) -> IterationTrace:
     grid = trial.grid
     tol_e_abs = opts.tol_e * abs(trial.E0)
@@ -428,7 +466,6 @@ def _run_engine(
 
     f = Samples(grid, np.ones(grid.n_nodes))
     states = [IterationState(n=0, f=f, E_shift=0.0, E_n=trial.E0)]
-    converged = False
     stop_reason: str = "max_iter"
     for n in range(1, opts.max_iter + 1):
         fv = f.values
@@ -444,7 +481,6 @@ def _run_engine(
                 f=f,
                 E_shift=shift,
                 E_n=trial.E0 - shift,
-                charge_total=num - shift * den,
                 bracket_wf=num,
                 bracket_f=den,
             )
@@ -452,25 +488,15 @@ def _run_engine(
         if not (isfinite(shift) and isfinite(d_f)):
             stop_reason = "nonfinite"
             break
-        if enforce_positivity and np.any(f_new <= 0.0):
+        if case == "B" and np.any(f_new <= 0.0):
             stop_reason = "positivity_violation"
             break
         if d_shift < tol_e_abs and d_f < opts.tol_f:
-            converged = True
             stop_reason = "tolerance"
             break
 
-    last = states[-1]
     return IterationTrace(
-        case=case,
-        states=tuple(states),
-        converged=converged,
-        E_limit=last.E_n if converged else None,
-        f_limit=last.f if converged else None,
-        stop_reason=stop_reason,  # type: ignore[arg-type]
-        E0=trial.E0,
-        anchor=anchor,
-        label=trial.label,
+        case, tuple(states), stop_reason, anchor, trial.label  # type: ignore[arg-type]
     )
 
 
@@ -491,9 +517,7 @@ def iterate(
     if trial.domain_kind != "half_line_even":
         raise ValueError("iterate runs half-line trials; see iterate_full_line")
     anchor: Anchor = "right" if case == "A" else "left"
-    return _run_engine(
-        trial, case, anchor, opts, enforce_positivity=(case == "B")
-    )
+    return _run_engine(trial, case, anchor, opts)
 
 
 def solve_half_line_pair(
@@ -512,15 +536,7 @@ def solve_half_line_pair(
         if not trace.converged:
             raise HalfLineStageError(t.label, trace.stop_reason)
         out.append(trace)
-    tr_p, tr_m = out
-    return HalfLinePair(
-        E_plus=float(tr_p.E_limit),
-        f_plus=tr_p.f_limit,
-        E_minus=float(tr_m.E_limit),
-        f_minus=tr_m.f_limit,
-        trace_plus=tr_p,
-        trace_minus=tr_m,
-    )
+    return HalfLinePair(*out)
 
 
 def glue_full_line(
@@ -544,8 +560,8 @@ def glue_full_line(
     minus_grid_mirrored = mirror_grid(tminus.grid)
     full = concat_grids(minus_grid_mirrored, plus_grid)
 
-    log_chi_plus = tplus.log_phi.values + np.log(half.f_plus.values)
-    log_chi_minus = tminus.log_phi.values + np.log(half.f_minus.values)
+    log_chi_plus = tplus.log_phi.values + np.log(half.trace_plus.f_limit.values)
+    log_chi_minus = tminus.log_phi.values + np.log(half.trace_minus.f_limit.values)
     if not np.isfinite(log_chi_plus[0]) or not np.isfinite(log_chi_minus[0]):
         raise ValueError("degenerate gluing: chi vanishes at the origin")
     # Minus-side normalization enforcing chi(0-) = chi(0+).
@@ -609,12 +625,10 @@ def iterate_full_line(
     anchor: Anchor = "right" if (case == "A") != (p.step_side == "right") else "left"
     if p.step_side == "none":
         case = "A"
-    return _run_engine(
-        p.chi, case, anchor, opts, enforce_positivity=(case == "B")
-    )
+    return _run_engine(p.chi, case, anchor, opts)
 
 
-def certify(trace: IterationTrace, case: Case | None = None) -> CertificationReport:
+def certify(trace: IterationTrace) -> CertificationReport:
     """Check the ordering theorem on an actual run, reporting margins.
 
     Case A: shifts strictly ascend and f ascends pointwise at every
@@ -626,8 +640,7 @@ def certify(trace: IterationTrace, case: Case | None = None) -> CertificationRep
     there carries no information; a margin below -floor is a real
     ordering violation and fails.
     """
-    if case is None:
-        case = trace.case
+    case = trace.case
     states = trace.states
     if len(states) < 2:
         raise ValueError("certify needs at least the seed and one iterate")
@@ -638,17 +651,8 @@ def certify(trace: IterationTrace, case: Case | None = None) -> CertificationRep
     )
     if degenerate:
         verdict = PairVerdict("degenerate_w_zero", (0, len(states) - 1), 0.0, True)
-        return CertificationReport(
-            case=case,
-            degenerate=True,
-            energy_verdicts=(verdict,),
-            f_verdicts=(),
-            cross_verdicts=(),
-            worst_margin=0.0,
-            floor=0.0,
-            ok=True,
-            notes=("all shifts are exactly zero and every f is exactly 1",),
-        )
+        note = "all shifts are exactly zero and every f is exactly 1"
+        return CertificationReport(case, (verdict,), (), (), (note,))
 
     energy_verdicts, cross_verdicts = certify_shift_sequence(shifts, case)
     f_verdicts: list[PairVerdict] = []
@@ -679,17 +683,4 @@ def certify(trace: IterationTrace, case: Case | None = None) -> CertificationRep
                 PairVerdict("f_ratio_slope", (a.n, b.n), margin, margin > -fl)
             )
 
-    all_verdicts = [*energy_verdicts, *f_verdicts, *cross_verdicts]
-    margins = [v.margin for v in all_verdicts if np.isfinite(v.margin)]
-    worst = min(margins) if margins else float("nan")
-    return CertificationReport(
-        case=case,
-        degenerate=False,
-        energy_verdicts=energy_verdicts,
-        f_verdicts=tuple(f_verdicts),
-        cross_verdicts=cross_verdicts,
-        worst_margin=worst,
-        floor=1e-13,
-        ok=all(v.ok for v in all_verdicts),
-        notes=(),
-    )
+    return CertificationReport(case, energy_verdicts, tuple(f_verdicts), cross_verdicts)

@@ -84,6 +84,8 @@ _TAIL_DECAY = 40.0
 # the ground level converges in about six; bisection from the Gershgorin
 # bound, which higher levels start with, needs at most about 70.
 _MAX_SWEEPS = 200
+# Panel multiplier from one level of a refinement study to the next.
+_REFINE = 2
 
 
 class EigensolveError(RuntimeError):
@@ -598,19 +600,17 @@ def _resample(V: Samples, fine: Grid, v_func: Callable | None) -> Samples:
 
 def fd_ground_state(
     V: Samples,
-    grid: Grid | None = None,
     *,
     v_func: Callable[[Array], Array] | None = None,
     mirror_even: bool = False,
     levels: int = 2,
-    refine_factor: int = 2,
 ) -> OracleResult:
     """Lowest Dirichlet eigenpair of -1/2 d^2/dx^2 + V on the sample grid.
 
-    ``levels`` resolutions are solved (the given grid, then repeated
-    ``refine_factor``-fold refinements); the reported ``E_ground`` is the
-    Richardson extrapolation of the two finest whenever ``levels >= 2``,
-    else the raw eigenvalue. Refinement needs potential values at new
+    ``levels`` resolutions are solved (the sample grid, then repeated
+    2-fold refinements); the reported ``E_ground`` is the Richardson
+    extrapolation of the two finest whenever ``levels >= 2``, else the
+    raw eigenvalue. Refinement needs potential values at new
     nodes: pass ``v_func`` (vectorized x -> V) or rely on the exact
     fallback for segmentwise-constant potentials. ``mirror_even`` makes
     the x = 0 end of a half-line grid reflecting instead of a wall, for
@@ -619,13 +619,8 @@ def fd_ground_state(
 
     The eigenvector is reported for the first (coarsest) level only.
     """
-    if grid is not None and grid is not V.grid:
-        if not np.array_equal(grid.nodes, V.grid.nodes):
-            raise ValueError("explicit grid disagrees with the sample grid")
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    if refine_factor < 2:
-        raise ValueError("refine_factor must be >= 2")
     _check_half_line(V, mirror_even)
 
     level_rows: list[RefinementLevel] = []
@@ -646,15 +641,15 @@ def fd_ground_state(
             psi = _ground_psi(g, vec, m, mirror_even)
         level_rows.append(RefinementLevel(factor, g.n_nodes, energy))
         if lev + 1 < levels:
-            cur = _resample(cur, g.refined(refine_factor), v_func)
-            factor *= refine_factor
+            cur = _resample(cur, g.refined(_REFINE), v_func)
+            factor *= _REFINE
     assert psi is not None
 
     if levels == 1:
         return OracleResult(level_rows[0].energy, psi, None)
     e_coarse = level_rows[-2].energy
     e_fine = level_rows[-1].energy
-    gain = refine_factor**2 - 1
+    gain = _REFINE**2 - 1
     richardson = e_fine + (e_fine - e_coarse) / gain
     error_estimate = abs(e_fine - e_coarse) / gain
     order = None
@@ -662,7 +657,7 @@ def fd_ground_state(
         d1 = level_rows[-3].energy - level_rows[-2].energy
         d2 = e_coarse - e_fine
         if d2 != 0.0 and d1 / d2 > 0.0:
-            order = log(d1 / d2) / log(refine_factor)
+            order = log(d1 / d2) / log(_REFINE)
     report = RefinementReport(tuple(level_rows), richardson, error_estimate, order)
     return OracleResult(richardson, psi, report)
 

@@ -333,16 +333,15 @@ class SquareWellModel:
     (k_a, q_a) and (p_b, q_b) are the matching parameters of the two
     symmetric comparison wells (floors both raised, floors both zero);
     (p_od, q_od) belongs to the odd excited state of the zero-floor well.
-    lam is half the even-odd splitting of the zero-floor well, the
-    tunneling energy scale. ``shape`` records whether the ground state
-    keeps two humps or has merged into one.
+    ``shape`` records whether the ground state keeps two humps or has
+    merged into one. Derived: ``gamma``, ``E_gap`` and ``lam``, half the
+    even-odd splitting of the zero-floor well, the tunneling energy scale.
     """
 
     W: float
     mu: float
     alpha: float
     beta: float
-    gamma: float
     k: float
     p: float
     q: float
@@ -357,7 +356,6 @@ class SquareWellModel:
     E_a: float
     E_b: float
     E_od: float
-    lam: float
     shape: Literal["double_peak", "critical", "single_peak"]
 
     def __post_init__(self) -> None:
@@ -370,8 +368,6 @@ class SquareWellModel:
         what2 = W2 - self.mu * self.mu
         if abs(self.k_a**2 + self.q_a**2 - what2) > tol:
             raise ValueError("comparison-channel closure broken")
-        if 2.0 * self.lam != self.E_od - self.E_b:
-            raise ValueError("tunneling split must be half the even-odd gap")
         if self.mu > 0.0 and not self.delta > 0.0:
             raise ValueError("asymmetry must push the node toward the raised well")
         if not self.E < self.E_od:
@@ -381,6 +377,14 @@ class SquareWellModel:
             raise ValueError("raising one floor cannot lower the ground energy")
         if self.mu > 0.0 and not (self.E_b < self.E_a and self.E < self.E_a):
             raise ValueError("raised-floor comparison well must sit above both")
+
+    @property
+    def gamma(self) -> float:
+        return self.alpha + self.beta
+
+    @property
+    def lam(self) -> float:
+        return 0.5 * (self.E_od - self.E_b)
 
     @property
     def E_gap(self) -> float:
@@ -434,14 +438,13 @@ def solve_asymmetric(W: float, mu: float, alpha: float, beta: float) -> SquareWe
     k_a, q_a, E_a = solve_even_well(W, beta, alpha, "a", mu=mu)
     p_b, q_b, E_b = solve_even_well(W, beta, alpha, "b")
     p_od, q_od, E_od = solve_even_well(W, beta, alpha, "od")
-    lam = 0.5 * (E_od - E_b)
 
     if mu == 0.0:
         return SquareWellModel(
-            W=W, mu=0.0, alpha=alpha, beta=beta, gamma=alpha + beta,
+            W=W, mu=0.0, alpha=alpha, beta=beta,
             k=p_b, p=p_b, q=q_b, delta=0.0,
             k_a=k_a, q_a=q_a, p_b=p_b, q_b=q_b, p_od=p_od, q_od=q_od,
-            E=E_b, E_a=E_a, E_b=E_b, E_od=E_od, lam=lam,
+            E=E_b, E_a=E_a, E_b=E_b, E_od=E_od,
             shape="double_peak",
         )
 
@@ -508,10 +511,10 @@ def solve_asymmetric(W: float, mu: float, alpha: float, beta: float) -> SquareWe
     else:
         shape = "critical"
     return SquareWellModel(
-        W=W, mu=mu, alpha=alpha, beta=beta, gamma=alpha + beta,
+        W=W, mu=mu, alpha=alpha, beta=beta,
         k=k, p=p, q=q, delta=delta,
         k_a=k_a, q_a=q_a, p_b=p_b, q_b=q_b, p_od=p_od, q_od=q_od,
-        E=E, E_a=E_a, E_b=E_b, E_od=E_od, lam=lam,
+        E=E, E_a=E_a, E_b=E_b, E_od=E_od,
         shape=shape,
     )
 

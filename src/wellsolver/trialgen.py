@@ -38,6 +38,8 @@ __all__ = [
     "residual_check",
 ]
 
+_AMP_FLOOR = 1e-6  # ``residual_check``'s amplitude floor; see ResidualReport
+
 
 def _s0(x):
     """Leading large-g exponent of the quartic trials: phi ~ exp(-g * s0)."""
@@ -245,7 +247,7 @@ def build_asymmetric_quartic_trial(
     return half(lam, plus_grid, "+"), half(-lam, minus_grid, "-")
 
 
-def residual_check(t: TrialFunction, *, amp_floor: float = 1e-6) -> ResidualReport:
+def residual_check(t: TrialFunction) -> ResidualReport:
     """Three-point check that (T + V + w) phi = E0 phi on the samples.
 
     The second derivative is formed in ratio space,
@@ -273,7 +275,7 @@ def residual_check(t: TrialFunction, *, amp_floor: float = 1e-6) -> ResidualRepo
             valid[j] = False
 
     scale = abs(t.E0)
-    trust = valid & (L >= float(np.max(L)) + log(amp_floor))
+    trust = valid & (L >= float(np.max(L)) + log(_AMP_FLOOR))
     if not np.any(trust):
         raise ValueError("no stencil-valid nodes above the amplitude floor")
     rel = np.abs(ratios[trust]) / scale
@@ -287,5 +289,5 @@ def residual_check(t: TrialFunction, *, amp_floor: float = 1e-6) -> ResidualRepo
         max_rel=float(np.max(rel)),
         l2_rel=sqrt(max(num, 0.0) / den),
         x_at_max=x_at_max,
-        amp_floor=amp_floor,
+        amp_floor=_AMP_FLOOR,
     )

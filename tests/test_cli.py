@@ -15,6 +15,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -111,6 +112,25 @@ def test_csv_and_json_agree(tmp_path):
     assert sc == sj
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["asym_quartic", "--g", "4", "--lam", "0.3"],
+        ["squarewell", "--w", "3", "--mu", "0.7", "--alpha", "1", "--beta", "2"],
+    ],
+)
+def test_csv_and_json_headers_agree_for_labels_with_spaces(tmp_path, params):
+    base = ["solve", *params, "--grid-density", "200"]
+    pc, pj = tmp_path / "t.csv", tmp_path / "t.json"
+    cli.main(base + ["--out", str(pc)])
+    cli.main(base + ["--format", "json", "--out", str(pj)])
+    dc = cli.read_trace(pc.read_text())
+    dj = cli.read_trace(pj.read_text())
+    keys = ("label", "case", "anchor", "E0", "stop_reason", "converged", "E_limit")
+    assert {k: dc[k] for k in keys} == {k: dj[k] for k in keys}
+    assert " " in dc["label"]
+
+
 # certify failure modes
 
 
@@ -148,6 +168,23 @@ def test_malformed_trace_is_config_error(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("not a trace\n")
     assert cli.main(["certify", str(path)]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b'{"version": "trace-v1", "case": "A", "rows": [{"n": 0}, {"n": 1}]}',
+        b'{"version": "trace-v1", "case": "A", "rows": 3}',
+        b"\xff\xfe# trace-v1 config=\n",
+    ],
+    ids=["row_lacks_a_column", "rows_not_a_list", "not_utf8"],
+)
+def test_malformed_trace_rows_exit_4_in_one_line(tmp_path, capsys, body):
+    path = tmp_path / "bad.json"
+    path.write_bytes(body)
+    rc, out, err = run(["certify", str(path)], capsys)
+    assert rc == cli.EXIT_CONFIG and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("malformed trace: ")
 
 
 # exit codes
@@ -300,6 +337,25 @@ def test_every_solve_ends_in_one_documented_line(argv):
     lines = err.getvalue().splitlines()
     assert len(lines) == 1, lines
     assert "Traceback" not in lines[0] and "RuntimeWarning" not in lines[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(argv=_solve_argv())
+def test_every_written_trace_reads_back_whole(argv):
+    # however the run ends, the trace it writes (to stdout, here) keeps the
+    # run's full label and certifies at file level without raising
+    out = io.StringIO()
+    with (
+        mock.patch.object(cli, "write_trace", wraps=cli.write_trace) as spy,
+        redirect_stdout(out),
+        redirect_stderr(io.StringIO()),
+    ):
+        cli.main(argv)
+    if not spy.called:
+        return
+    doc = cli.read_trace(out.getvalue())
+    assert doc["label"] == spy.call_args.args[0].label
+    assert cli.certify_trace_file(doc)["case"] == doc["case"]
 
 
 @pytest.mark.parametrize("case", ["A", "B"])

@@ -415,12 +415,7 @@ def test_right_step_anchors_mirror_the_left_step():
     tp, tm = ws.build_asymmetric_quartic_trial(5.0, 0.2, grid)
     half = ws.solve_half_line_pair(tp, tm)
     swapped = ws.HalfLinePair(
-        E_plus=half.E_minus,
-        f_plus=half.f_minus,
-        E_minus=half.E_plus,
-        f_minus=half.f_plus,
-        trace_plus=half.trace_minus,
-        trace_minus=half.trace_plus,
+        trace_plus=half.trace_minus, trace_minus=half.trace_plus
     )
     right = ws.glue_full_line(swapped, tm, tp)
     assert right.step_side == "right"
