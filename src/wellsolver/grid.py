@@ -244,50 +244,91 @@ def concat_grids(left: Grid, right: Grid) -> Grid:
     return Grid(np.concatenate((left.nodes, right.nodes[1:])), segs)
 
 
-def _segment_values(f: Samples, i0: int, i1: int) -> Array:
-    """Segment slice of the sample values with one-sided jump overrides."""
-    vals = f.values[i0 : i1 + 1].copy()
-    if f.jumps:
-        jump0 = f.jumps.get(i0)
-        if jump0 is not None:
-            vals[0] = jump0[1]
-        jump1 = f.jumps.get(i1)
-        if jump1 is not None:
-            vals[-1] = jump1[0]
-    return vals
+def _pair_h12(grid: Grid) -> Array:
+    """Per Simpson pair, h/12 of the segment the pair lies in."""
+    return np.concatenate(
+        [np.full((i1 - i0) // 2, h / 12.0) for i0, i1, h in grid.segments]
+    )
 
 
-def _pair_increments(vals: Array, h: float) -> Array:
-    """Half-pair increments of uniformly spaced values (length ``size - 1``).
+def _pair_slots(j: int, n_nodes: int) -> tuple[int | None, int | None]:
+    """The pairs a boundary node ``j`` starts and ends, as pair indices.
 
-    ``vals`` holds an odd number of nodes at spacing ``h``. Each Simpson
-    pair (x_a, x_b, x_c) is split into the two parabolic half-rules
-    (h/12)(5f_a + 8f_b - f_c) and (h/12)(-f_a + 8f_b + 5f_c); their sum is
-    the Simpson pair rule, and each half is exact for quadratics, which is
-    what makes left/right cumulatives and the total integral mutually
-    consistent. The raw-array primitive behind :func:`panel_increments`
-    and the iteration engine's scaled scans.
+    Boundary nodes are even, so node j is the first node of pair j // 2
+    (unless j is the last node) and the last node of pair j // 2 - 1
+    (unless j is the first).
     """
-    a = vals[0:-2:2]
-    b = vals[1:-1:2]
-    c = vals[2::2]
-    out = np.empty(vals.size - 1)
-    out[0::2] = (h / 12.0) * (5.0 * a + 8.0 * b - c)
-    out[1::2] = (h / 12.0) * (-a + 8.0 * b + 5.0 * c)
+    return (j // 2 if j < n_nodes - 1 else None, j // 2 - 1 if j > 0 else None)
+
+
+def _pair_increments(
+    a: Array, b: Array, c: Array, h12: Array, out: Array, work: Array
+) -> Array:
+    """Half-pair increments of Simpson pairs (x_a, x_b, x_c), into ``out``.
+
+    ``a``, ``b`` and ``c`` hold each pair's three node values and ``h12``
+    its spacing over 12; ``out`` (two entries per pair) and ``work``
+    (shape ``(2, pairs)``) are caller-owned buffers. Each pair is split
+    into the two parabolic half-rules (h/12)(5f_a + 8f_b - f_c) and
+    (h/12)(-f_a + 8f_b + 5f_c); their sum is the Simpson pair rule, and
+    each half is exact for quadratics, which is what makes left/right
+    cumulatives and the total integral mutually consistent. The package's
+    only implementation of the rule: quadrature and the iteration engine's
+    scaled scans both call it, once per quantity over the whole grid.
+    """
+    first, second = work
+    np.multiply(b, 8.0, out=second)
+    np.multiply(a, 5.0, out=first)
+    np.add(first, second, out=first)
+    np.subtract(first, c, out=first)
+    np.multiply(h12, first, out=out[0::2])
+    np.subtract(second, a, out=second)  # -a + 8b
+    np.multiply(c, 5.0, out=first)
+    np.add(second, first, out=second)
+    np.multiply(h12, second, out=out[1::2])
     return out
 
 
 def panel_increments(f: Samples) -> Array:
     """Per-panel integrals of ``f`` (length ``n_nodes - 1``).
 
-    Segment by segment, with each segment's one-sided jump values, via
-    the half-pair rules of :func:`_pair_increments`.
+    One whole-grid call of :func:`_pair_increments`: at a jump node the
+    pair starting there takes the right value and the pair ending there
+    the left one.
     """
     if f.kind != "plain":
         raise ValueError("quadrature needs plain samples")
-    out = np.empty(f.grid.n_nodes - 1)
-    for i0, i1, h in f.grid.segments:
-        out[i0:i1] = _pair_increments(_segment_values(f, i0, i1), h)
+    v = f.values
+    a, b, c = v[0:-1:2], v[1::2], v[2::2]
+    if f.jumps:
+        a, c = a.copy(), c.copy()
+        for j, (lo, hi) in f.jumps.items():
+            starts, ends = _pair_slots(j, v.size)
+            if starts is not None:
+                a[starts] = hi
+            if ends is not None:
+                c[ends] = lo
+    return _pair_increments(
+        a, b, c, _pair_h12(f.grid), np.empty(v.size - 1), np.empty((2, b.size))
+    )
+
+
+def _cumulate(inc: Array, origin: str, out: Array) -> Array:
+    """Node values of the running integral of panel increments ``inc``.
+
+    ``origin="left"`` anchors out[0] = 0 and sums rightward;
+    ``origin="right"`` anchors out[-1] = 0 and stores the negated sum
+    leftward. ``out`` holds one more entry than ``inc``.
+    """
+    if origin == "left":
+        out[0] = 0.0
+        np.cumsum(inc, out=out[1:])
+    elif origin == "right":
+        out[-1] = 0.0
+        np.cumsum(inc[::-1], out=out[-2::-1])
+        np.negative(out, out=out)
+    else:
+        raise ValueError("origin must be 'left' or 'right'")
     return out
 
 
@@ -308,13 +349,7 @@ def cumulative_from(f: Samples, origin: Literal["left", "right"]) -> Samples:
     being integrals traversed leftward).
     """
     inc = panel_increments(f)
-    if origin == "left":
-        vals = np.concatenate(((0.0,), np.cumsum(inc)))
-    elif origin == "right":
-        vals = -np.concatenate(((0.0,), np.cumsum(inc[::-1])))[::-1]
-    else:
-        raise ValueError("origin must be 'left' or 'right'")
-    return Samples(f.grid, vals)
+    return Samples(f.grid, _cumulate(inc, origin, np.empty(inc.size + 1)))
 
 
 def bracket(f: Samples, phi_sq: Samples) -> float:

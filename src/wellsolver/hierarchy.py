@@ -21,11 +21,15 @@ from each end, switching at the node where w - shift_n changes sign, so
 every partial integral is single-signed and carried relative to the local
 log-amplitude; no intermediate ever overflows, underflows, or cancels
 catastrophically. Everything those scans and the brackets need that
-depends only on phi, the grid and w's jump nodes (the block partition,
-the per-block scale factors, the bracket weights) is built once per run
-into a ``_Plan``, and ``_step`` runs one iteration on raw arrays from
-it. ``_step`` is the package's only implementation of the update: every
-problem, half line or full line, iterates through it.
+depends only on phi, the grid and w's jump nodes is built once per run
+into a ``_Plan``, laid out per Simpson pair: each pair's h/12, its
+block's scale factors at its three nodes, the wall masks and the pairs a
+jump node overrides, plus the bracket weights and scratch buffers the
+steps reuse. ``_step`` runs one iteration on raw arrays from it, with one
+whole-grid call of the half-pair kernel each for [w f], [f], the charge
+density and the ratio; both scans sum the same charge increments, block
+by block. ``_step`` is the package's only implementation of the update:
+every problem, half line or full line, iterates through it.
 
 Two-stage full-line pipeline: solve the two half-line problems
 independently (Case A), glue chi = phi * f at the origin, and iterate on
@@ -49,10 +53,11 @@ import numpy as np
 from .grid import (
     Grid,
     Samples,
+    _cumulate,
+    _pair_h12,
     _pair_increments,
+    _pair_slots,
     concat_grids,
-    cumulative_from,
-    integrate,
     mirror_grid,
 )
 from .ordering import (
@@ -257,34 +262,37 @@ class _Block:
     """Run-invariant factors of one scan block, nodes j0..j1 of a segment.
 
     Partial sums inside the block are carried relative to its maximum
-    log-amplitude M: ``damp`` = e^{2(L - M)} scales the charge density
-    down, ``grow`` = e^{2(M - L)} turns the scaled cumulative back into a
-    ratio (0 at a hard-wall zero, where the charge integral vanishes one
-    order faster than phi^2), and ``carry_left``/``carry_right`` =
-    e^{2(L[edge] - M)} rescale the ratio handed over at the block edge a
-    scan enters through. ``zeros`` masks the nodes where ``damp`` is 0
-    (None if there are none). ``jump_first``/``jump_last`` flag a segment
-    edge where the integrand's one-sided jump value replaces the node value.
+    log-amplitude M. ``grow`` = e^{2(M - L)} turns the scaled cumulative
+    back into a ratio (0 at a hard-wall zero, where the charge integral
+    vanishes one order faster than phi^2), and ``carry_left``/
+    ``carry_right`` = e^{2(L[edge] - M)} rescale the ratio handed over at
+    the block edge a scan enters through. The matching damp factors
+    e^{2(L - M)} live per Simpson pair in the plan: blocks are
+    pair-aligned, so every pair lies in exactly one block.
     """
 
     j0: int
     j1: int
-    h: float
-    damp: np.ndarray
     grow: np.ndarray
-    zeros: np.ndarray | None
     carry_left: float
     carry_right: float
-    jump_first: bool
-    jump_last: bool
 
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """Everything a run's iterations share: blocks and bracket weights.
+    """Everything a run's iterations share, laid out per Simpson pair.
 
     Depends only on the trial's log-amplitude L, the grid and the jump
-    nodes of w; built once per run by :func:`_make_plan`.
+    nodes of w; built once per run by :func:`_make_plan`. Per pair p
+    (nodes 2p, 2p + 1, 2p + 2): ``h12``, its spacing over 12, and
+    ``damp[:, p]``, its block's damp factor e^{2(L - M)} at the three
+    nodes; ``walls`` masks the entries where that factor is 0 (None if
+    there are none). ``slots`` maps each jump node of w to the pairs it
+    starts and ends (see ``grid._pair_slots``). The bracket weights are
+    per node. The remaining fields are scratch buffers the run's steps
+    overwrite: every quantity of a step takes one whole-grid call of the
+    half-pair kernel, and no step allocates a grid-sized temporary beyond
+    the new f.
     """
 
     grid: Grid
@@ -295,6 +303,17 @@ class _Plan:
     weight: np.ndarray
     jump_weight: Mapping[int, float]
     scale: float
+    h12: np.ndarray
+    damp: np.ndarray
+    walls: np.ndarray | None
+    slots: Mapping[int, tuple[int | None, int | None]]
+    node: np.ndarray
+    R: np.ndarray
+    positive: np.ndarray
+    u: np.ndarray
+    inc: np.ndarray
+    csum: np.ndarray
+    work: np.ndarray
 
     def bracket(
         self, vals: np.ndarray, jumps: Mapping[int, tuple[float, float]]
@@ -302,21 +321,41 @@ class _Plan:
         """[F] = integral of e^{2L} F, rescaled by e^{2 ref} as ``grid.bracket``."""
         if self.ref == -np.inf:
             return 0.0
-        jw = self.jump_weight
-        weighted = Samples(
-            self.grid,
-            vals * self.weight,
-            jumps={j: (lo * jw[j], hi * jw[j]) for j, (lo, hi) in jumps.items()},
-        )
-        return self.scale * integrate(weighted)
+        v = np.multiply(vals, self.weight, out=self.node)
+        a, b, c = v[0:-1:2], v[1::2], v[2::2]
+        if jumps:  # overridden copies: a jump node is one pair's c, the next's a
+            np.copyto(self.u[0], a)
+            np.copyto(self.u[2], c)
+            a, c = self.u[0], self.u[2]
+            jw = self.jump_weight
+            for j, (lo, hi) in jumps.items():
+                starts, ends = self.slots[j]
+                if starts is not None:
+                    a[starts] = hi * jw[j]
+                if ends is not None:
+                    c[ends] = lo * jw[j]
+        inc = _pair_increments(a, b, c, self.h12, self.inc, self.work)
+        return self.scale * float(np.cumsum(inc, out=self.csum)[-1])
 
-    def scan_left(
-        self,
-        q: np.ndarray,
-        jumps: Mapping[int, tuple[float, float]],
-        R: np.ndarray,
-        stop: int,
-    ) -> None:
+    def _charge_increments(
+        self, q: np.ndarray, jumps: Mapping[int, tuple[float, float]]
+    ) -> np.ndarray:
+        """Half-pair increments of the damped charge density e^{2(L - M)} q."""
+        u = self.u
+        np.multiply(q[0:-1:2], self.damp[0], out=u[0])
+        np.multiply(q[1::2], self.damp[1], out=u[1])
+        np.multiply(q[2::2], self.damp[2], out=u[2])
+        for j, (lo, hi) in jumps.items():
+            starts, ends = self.slots[j]
+            if starts is not None:
+                u[0, starts] = hi * self.damp[0, starts]
+            if ends is not None:
+                u[2, ends] = lo * self.damp[2, ends]
+        if self.walls is not None:
+            u[self.walls] = 0.0  # covers q = +-inf walls paired with L = -inf
+        return _pair_increments(u[0], u[1], u[2], self.h12, self.inc, self.work)
+
+    def _scan_left(self, inc: np.ndarray, R: np.ndarray, stop: int) -> None:
         """R[:stop + 1] = e^{-2L} * integral from x_min of e^{2L} q.
 
         Every partial sum is carried relative to its block's maximum
@@ -329,46 +368,26 @@ class _Plan:
             if b.j0 > stop:
                 break
             k = min(b.j1, stop) - b.j0  # panels needed from this block
-            n = k + (k & 1)  # rounded up to whole Simpson pairs
-            damp = b.damp[: n + 1]
-            u = q[b.j0 : b.j0 + n + 1] * damp
-            if b.jump_first:
-                u[0] = jumps[b.j0][1] * damp[0]
-            if b.jump_last and n == b.j1 - b.j0:
-                u[-1] = jumps[b.j1][0] * damp[-1]
-            if b.zeros is not None:
-                u[b.zeros[: n + 1]] = 0.0  # covers q = +-inf walls paired with L = -inf
-            csum = np.concatenate(((0.0,), np.cumsum(_pair_increments(u, b.h))))
-            carry = edge * b.carry_left if edge else 0.0
-            R[b.j0 : b.j0 + k + 1] = (carry + csum[: k + 1]) * b.grow[: k + 1]
+            seg = R[b.j0 : b.j0 + k + 1]
+            seg[0] = 0.0
+            np.cumsum(inc[b.j0 : b.j0 + k], out=seg[1:])
+            np.add(seg, edge * b.carry_left if edge else 0.0, out=seg)
+            np.multiply(seg, b.grow[: k + 1], out=seg)
             edge = R[b.j1] if b.j1 <= stop else None
 
-    def scan_right(
-        self,
-        q: np.ndarray,
-        jumps: Mapping[int, tuple[float, float]],
-        R: np.ndarray,
-        start: int,
-    ) -> None:
-        """R[start:] = -e^{-2L} * integral to x_max of e^{2L} q; see scan_left."""
+    def _scan_right(self, inc: np.ndarray, R: np.ndarray, start: int) -> None:
+        """R[start:] = -e^{-2L} * integral to x_max of e^{2L} q; see _scan_left."""
         edge = None
         for b in reversed(self.blocks):
             if b.j1 < start:
                 break
             s = max(b.j0, start) - b.j0  # first node needed from this block
-            s2 = s - (s & 1)  # rounded down to whole Simpson pairs
-            damp = b.damp[s2:]
-            u = q[b.j0 + s2 : b.j1 + 1] * damp
-            if b.jump_first and s2 == 0:
-                u[0] = jumps[b.j0][1] * damp[0]
-            if b.jump_last:
-                u[-1] = jumps[b.j1][0] * damp[-1]
-            if b.zeros is not None:
-                u[b.zeros[s2:]] = 0.0
-            inc = _pair_increments(u, b.h)
-            rsum = np.concatenate((np.cumsum(inc[::-1])[::-1], (0.0,)))
-            carry = -edge * b.carry_right if edge else 0.0
-            R[b.j0 + s : b.j1 + 1] = -(carry + rsum[s - s2 :]) * b.grow[s:]
+            seg = R[b.j0 + s : b.j1 + 1]
+            seg[-1] = 0.0
+            np.cumsum(inc[b.j0 + s : b.j1][::-1], out=seg[-2::-1])
+            np.add(seg, -edge * b.carry_right if edge else 0.0, out=seg)
+            np.negative(seg, out=seg)
+            np.multiply(seg, b.grow[s:], out=seg)
             edge = R[b.j0] if b.j0 >= start else None
 
     def ratio(
@@ -379,20 +398,22 @@ class _Plan:
         Left of the switch the charge density is nonnegative, right of it
         nonpositive (w decreasing), so each scan accumulates a
         single-signed integrand and the ratio never suffers cancellation.
-        Each scan runs only over its own side of the switch node. R is
-        exactly 0 at both domain ends by construction; the two scans'
-        agreement at the switch node is the numerical zero-total-charge
-        statement.
+        Both scans sum the same whole-grid increments, each only over its
+        own side of the switch node. R is exactly 0 at both domain ends by
+        construction; the two scans' agreement at the switch node is the
+        numerical zero-total-charge statement. R is the plan's buffer,
+        valid until the next call.
         """
-        positive = q > 0.0
+        positive = np.greater(q, 0.0, out=self.positive)
         for j, (lo, _hi) in jumps.items():
             positive[j] = lo > 0.0
-        (idx,) = np.nonzero(positive)
-        m = int(idx[-1]) if idx.size else 0
-        R = np.empty(q.size)
-        self.scan_right(q, jumps, R, m + 1 if m > 0 else 0)
+        last = q.size - 1 - int(np.argmax(positive[::-1]))
+        m = last if positive[last] else 0
+        inc = self._charge_increments(q, jumps)
+        R = self.R
+        self._scan_right(inc, R, m + 1 if m > 0 else 0)
         if m > 0:
-            self.scan_left(q, jumps, R, m)
+            self._scan_left(inc, R, m)
         return R
 
 
@@ -401,32 +422,31 @@ def _make_plan(trial: TrialFunction) -> _Plan:
     grid = trial.grid
     L = trial.log_phi.values
     w = trial.w
+    n = grid.n_nodes
+    pairs = (n - 1) // 2
+    damp = np.empty((3, pairs))
     blocks = []
-    for i0, i1, h in grid.segments:
-        L_seg = L[i0 : i1 + 1]
-        n_seg = i1 - i0
-        for b0, b1 in _segment_blocks(L_seg):
-            L_blk = L_seg[b0 : b1 + 1]
+    for i0, i1, _h in grid.segments:
+        for b0, b1 in _segment_blocks(L[i0 : i1 + 1]):
+            j0, j1 = i0 + b0, i0 + b1
+            L_blk = L[j0 : j1 + 1]
             M = float(np.max(L_blk))
             with np.errstate(under="ignore", over="ignore"):
-                damp = np.exp(2.0 * (L_blk - M))
+                d = np.exp(2.0 * (L_blk - M))
                 grow = np.exp(2.0 * (M - L_blk))
             grow[np.isinf(grow)] = 0.0
-            zeros = damp == 0.0
+            for k in range(3):
+                damp[k, j0 // 2 : j1 // 2] = d[k : k + j1 - j0 - 1 : 2]
             blocks.append(
                 _Block(
-                    j0=i0 + b0,
-                    j1=i0 + b1,
-                    h=h,
-                    damp=damp,
+                    j0=j0,
+                    j1=j1,
                     grow=grow,
-                    zeros=zeros if zeros.any() else None,
-                    carry_left=exp(2.0 * (L[i0 + b0] - M)),
-                    carry_right=exp(2.0 * (L[i0 + b1] - M)),
-                    jump_first=b0 == 0 and i0 in w.jumps,
-                    jump_last=b1 == n_seg and i1 in w.jumps,
+                    carry_left=exp(2.0 * (L[j0] - M)),
+                    carry_right=exp(2.0 * (L[j1] - M)),
                 )
             )
+    walls = damp == 0.0
     ref = float(np.max(L))
     return _Plan(
         grid=grid,
@@ -437,24 +457,41 @@ def _make_plan(trial: TrialFunction) -> _Plan:
         weight=np.exp(2.0 * (L - ref)),
         jump_weight={j: float(np.exp(2.0 * (L[j] - ref))) for j in w.jumps},
         scale=float(np.exp(2.0 * ref)),
+        h12=_pair_h12(grid),
+        damp=damp,
+        walls=walls if walls.any() else None,
+        slots={j: _pair_slots(j, n) for j in w.jumps},
+        node=np.empty(n),
+        R=np.empty(n),
+        positive=np.empty(n, dtype=bool),
+        u=np.empty((3, pairs)),
+        inc=np.empty(n - 1),
+        csum=np.empty(n - 1),
+        work=np.empty((2, pairs)),
     )
 
 
 def _step(
     plan: _Plan, fv: np.ndarray, anchor: Anchor
 ) -> tuple[float, float, float, np.ndarray]:
-    """One iteration on raw arrays: [w f], [f], the shift and the new f."""
+    """One iteration on raw arrays: [w f], [f], the shift and the new f.
+
+    One half-pair kernel call each for [w f], [f], the charge density and
+    the ratio; only the returned f is a fresh array.
+    """
     wf_jumps = {j: (lo * fv[j], hi * fv[j]) for j, (lo, hi) in plan.w_jumps.items()}
-    num = plan.bracket(plan.w * fv, wf_jumps)
+    num = plan.bracket(np.multiply(plan.w, fv, out=plan.node), wf_jumps)
     den = plan.bracket(fv, {})
     shift = 0.0 if num == 0.0 else num / den
     q_jumps = {
         j: ((lo - shift) * fv[j], (hi - shift) * fv[j])
         for j, (lo, hi) in plan.w_jumps.items()
     }
-    R = plan.ratio((plan.w - shift) * fv, q_jumps)
-    f_new = 1.0 - 2.0 * cumulative_from(Samples(plan.grid, R), anchor).values
-    return num, den, shift, f_new
+    q = np.subtract(plan.w, shift, out=plan.node)
+    R = plan.ratio(np.multiply(q, fv, out=q), q_jumps)
+    inc = _pair_increments(R[0:-1:2], R[1::2], R[2::2], plan.h12, plan.inc, plan.work)
+    F = _cumulate(inc, anchor, plan.node)
+    return num, den, shift, 1.0 - np.multiply(F, 2.0, out=F)
 
 
 def _run_engine(
@@ -473,7 +510,8 @@ def _run_engine(
             # overflow or NaN here ends the run as "nonfinite" below
             num, den, shift, f_new = _step(plan, fv, anchor)
         d_shift = abs(shift - states[-1].E_shift)
-        d_f = float(np.max(np.abs(f_new - fv)))
+        diff = np.subtract(f_new, fv, out=plan.node)
+        d_f = float(np.max(np.abs(diff, out=diff)))
         f = Samples(grid, f_new)
         states.append(
             IterationState(

@@ -9,10 +9,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellsolver import (
+    Grid,
     Samples,
     bracket,
     concat_grids,
@@ -22,6 +23,7 @@ from wellsolver import (
     mirror_grid,
     slice_grid,
 )
+from wellsolver.grid import panel_increments
 
 
 def test_breakpoints_are_nodes():
@@ -225,3 +227,51 @@ def test_left_cumulative_of_smooth_nonnegative_is_nondecreasing(omega, phase):
     f = Samples(g, np.exp(np.sin(omega * g.nodes + phase)))
     F = cumulative_from(f, "left").values
     assert np.all(np.diff(F) >= -1e-12)
+
+
+def _segment_loop(f):
+    """Segment-by-segment form of the half-pair kernel, the whole-grid
+    ``panel_increments``' reference: each segment's slice, with its own
+    one-sided jump values, split into the two parabolic half-rules."""
+    out = np.empty(f.grid.n_nodes - 1)
+    for i0, i1, h in f.grid.segments:
+        vals = f.values[i0 : i1 + 1].copy()
+        if i0 in f.jumps:
+            vals[0] = f.jumps[i0][1]
+        if i1 in f.jumps:
+            vals[-1] = f.jumps[i1][0]
+        a, b, c = vals[0:-2:2], vals[1:-1:2], vals[2::2]
+        out[i0:i1:2] = (h / 12.0) * (5.0 * a + 8.0 * b - c)
+        out[i0 + 1 : i1 : 2] = (h / 12.0) * (-a + 8.0 * b + 5.0 * c)
+    return out
+
+
+@given(
+    segments=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=12),  # pairs
+            st.floats(min_value=1e-3, max_value=2.0),  # spacing
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=200)
+def test_whole_grid_increments_match_segment_loop(segments, seed, data):
+    pieces, segs, first, x0 = [], [], 0, -1.0
+    for pairs, h in segments:
+        n = 2 * pairs
+        xs = x0 + h * np.arange(n + 1)
+        pieces.append(xs[1:] if pieces else xs)
+        segs.append((first, first + n, h))
+        first, x0 = first + n, float(xs[-1])
+    grid = Grid(np.concatenate(pieces), tuple(segs))
+    rng = np.random.default_rng(seed)
+    # jumps on any subset of the boundary nodes, both grid ends included
+    at = data.draw(st.sets(st.sampled_from(grid.boundary_indices)))
+    jumps = {j: tuple(rng.standard_normal(2)) for j in sorted(at)}
+    f = Samples(grid, rng.standard_normal(grid.n_nodes), jumps=jumps)
+    whole = panel_increments(f)
+    assert whole.tobytes() == _segment_loop(f).tobytes()

@@ -350,6 +350,55 @@ def test_block_partition_matches_pairwise_loop(steps, walls):
         assert hierarchy._segment_blocks(L) == _greedy_blocks_loop(L)
 
 
+@pytest.fixture(scope="module")
+def glued_asym_g4():
+    grid = ws.quartic_grid(4.0, 400.0, full_line=True)
+    tp, tm = ws.build_asymmetric_quartic_trial(4.0, 0.3, grid)
+    return ws.glue_full_line(ws.solve_half_line_pair(tp, tm), tp, tm).chi
+
+
+@pytest.mark.parametrize("which", ["sym_quartic", "readme_well", "glued_asym"])
+def test_step_matches_grid_quadrature(
+    which, request, sym_g2_trial, moderate_model, moderate_grid
+):
+    # the plan's pair-level kernel calls must reproduce the grid's own
+    # quadrature bit for bit: w jumps at x = 1 for the quartic, hard walls
+    # and a jump at the origin for the README well, a glued step for asym
+    if which == "sym_quartic":
+        trial = sym_g2_trial
+    elif which == "readme_well":
+        trial = ws.build_squarewell_problem(moderate_model, moderate_grid).chi
+    else:
+        trial = request.getfixturevalue("glued_asym_g4")
+    assert trial.w.jumps
+    grid, w = trial.grid, trial.w
+    plan = hierarchy._make_plan(trial)
+
+    def bits(x):
+        return np.asarray(x, dtype=np.float64).tobytes()
+
+    for anchor in ("left", "right"):
+        fv = np.ones(grid.n_nodes)
+        for _ in range(5):
+            with np.errstate(over="ignore", invalid="ignore"):
+                num, den, shift, f_new = hierarchy._step(plan, fv, anchor)
+                wf_jumps = {
+                    j: (lo * fv[j], hi * fv[j]) for j, (lo, hi) in w.jumps.items()
+                }
+                wf = ws.Samples(grid, w.values * fv, jumps=wf_jumps)
+                f = ws.Samples(grid, fv)
+                assert bits(num) == bits(ws.bracket(wf, trial.log_phi))
+                assert bits(den) == bits(ws.bracket(f, trial.log_phi))
+                q_jumps = {
+                    j: ((lo - shift) * fv[j], (hi - shift) * fv[j])
+                    for j, (lo, hi) in w.jumps.items()
+                }
+                R = plan.ratio((w.values - shift) * fv, q_jumps)
+                D = ws.cumulative_from(ws.Samples(grid, R), anchor).values
+            assert bits(f_new) == bits(1.0 - 2.0 * D)
+            fv = f_new
+
+
 def test_iteration_states_keep_no_displacement_field(sym_g2_trial):
     tr = ws.iterate(sym_g2_trial, "A", CAPPED)
     assert "D" not in {f.name for f in dataclasses.fields(tr.states[-1])}
