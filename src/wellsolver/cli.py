@@ -555,7 +555,9 @@ def certify_trace_file(doc: Mapping[str, Any]) -> dict[str, Any]:
     The trace file carries the full shift sequence but only two probe
     columns of each f (origin and midpoint), so the energy ordering and
     the Case-B cross checks are complete while the f checks are probes,
-    not the full pointwise theorem (that one runs in-process).
+    not the full pointwise theorem (that one runs in-process). The report
+    repeats the trace's ``stop_reason`` and ``converged``; a run that did
+    not stop on tolerance gets a note that ``ok`` certifies no energy.
     """
     case = doc.get("case")
     if case not in ("A", "B"):
@@ -578,20 +580,30 @@ def certify_trace_file(doc: Mapping[str, Any]) -> dict[str, Any]:
     verdicts = [*energy, *cross, *f_verdicts]
     ok = all(v.ok for v in verdicts)
     worst = min((v.margin for v in verdicts), default=0.0)
+    stop = doc.get("stop_reason")
+    notes = [
+        "f verdicts cover the two recorded probe columns only; "
+        "the full pointwise theorem is checked in-process by certify()"
+    ]
+    if stop != "tolerance":
+        notes.append(
+            f"the run stopped on {stop or 'an unrecorded reason'}, not on "
+            "tolerance: the verdicts cover only the iterates present, so no "
+            "energy is certified"
+        )
     return {
         "version": "certify-v1",
         "source_config": doc.get("config_hash", ""),
         "case": case,
         "file_level": True,
+        "stop_reason": stop,
+        "converged": doc.get("converged"),
         "ok": ok,
         "worst_margin": worst,
         "energy_verdicts": [asdict(v) for v in energy],
         "cross_verdicts": [asdict(v) for v in cross],
         "f_verdicts": [asdict(v) for v in f_verdicts],
-        "notes": [
-            "f verdicts cover the two recorded probe columns only; "
-            "the full pointwise theorem is checked in-process by certify()"
-        ],
+        "notes": notes,
     }
 
 

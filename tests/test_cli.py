@@ -164,6 +164,42 @@ def test_certify_report_is_json(tmp_path, capsys):
     assert kinds == {"shift_ascending"}
 
 
+@pytest.mark.parametrize(
+    "solve, code, stop",
+    [
+        (["sym_quartic", "--g", "2", "--max-iter", "1"], cli.EXIT_MAX_ITER,
+         "max_iter"),
+        (["asym_quartic", "--g", "4", "--lam", "0.3", "--case", "B"],
+         cli.EXIT_POSITIVITY, "positivity_violation"),
+    ],
+)
+def test_certify_reports_a_run_that_never_finished(
+    tmp_path, capsys, solve, code, stop
+):
+    # the verdicts hold on the iterates present, so ok and the exit code
+    # stand; the report says how the run stopped and that no energy is
+    # certified
+    path = tmp_path / "t.csv"
+    assert cli.main(["solve", *solve, "--out", str(path)]) == code
+    capsys.readouterr()
+    rc, out, _err = run(["certify", str(path)], capsys)
+    report = json.loads(out)
+    assert rc == cli.EXIT_OK and report["ok"] is True
+    assert (report["stop_reason"], report["converged"]) == (stop, False)
+    assert any("no energy is certified" in n for n in report["notes"])
+
+
+def test_certify_of_a_converged_run_adds_no_stop_note(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    cli.main(["solve", "sym_quartic", "--g", "2", "--grid-density", "150",
+              "--format", "json", "--out", str(path)])
+    capsys.readouterr()
+    _rc, out, _err = run(["certify", str(path)], capsys)
+    report = json.loads(out)
+    assert (report["stop_reason"], report["converged"]) == ("tolerance", True)
+    assert not any("no energy is certified" in n for n in report["notes"])
+
+
 def test_malformed_trace_is_config_error(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("not a trace\n")
