@@ -28,6 +28,9 @@ from wellsolver import cli
 
 README_WELL = ["--w", "3", "--mu", "0.7071067811865476", "--alpha", "1",
                "--beta", "2"]
+# equal floors: no step at the origin
+SYMMETRIC_WELL = ["--w", "3", "--mu", "0", "--alpha", "1", "--beta", "2",
+                  "--grid-density", "200"]
 
 # (name of the output file, command line); "--out <output path>" is
 # appended to each command line
@@ -44,6 +47,13 @@ SOLVES = [
                          "--format", "json"]),
     ("squarewell.csv", ["solve", "squarewell", *README_WELL,
                         "--grid-density", "200"]),
+    ("asym_lam0_b.csv", ["solve", "asym_quartic", "--g", "4", "--lam", "0",
+                         "--case", "B"]),
+    ("sw_mu0_a.csv", ["solve", "squarewell", *SYMMETRIC_WELL, "--case", "A"]),
+    ("sw_mu0_b.csv", ["solve", "squarewell", *SYMMETRIC_WELL, "--case", "B"]),
+    # exit 2: Case B stops on positivity at the full channel gap
+    ("asym_lam03_b.csv", ["solve", "asym_quartic", "--g", "4", "--lam", "0.3",
+                          "--case", "B"]),
 ]
 
 REPORTS = [
