@@ -33,13 +33,15 @@ every problem, half line or full line, iterates through it.
 
 Two-stage full-line pipeline: solve the two half-line problems
 independently (Case A), glue chi = phi * f at the origin, and iterate on
-the full line where the leftover perturbation is a step of height
-|E_a - E_b| at the origin (``_step_at_origin``, shared with the analytic
-square well). ``iterate_full_line`` takes the case: Case A anchors f at
-the step-free edge, Case B at the step's edge.
+the full line where the leftover perturbation is the channel gap
+E_a - E_b >= 0, a step lifting the left side of the origin. One
+constructor, ``_full_line_problem``, shared with the analytic square
+well, builds that step; it refuses a right channel below the left one,
+which the caller mirrors instead. ``iterate_full_line`` anchors as
+``iterate`` does: Case A at the right edge, Case B at the left one.
 
-Every trial reaching the engine has a monotone w, in either direction:
-``TrialFunction`` checks that once, when it is built.
+Every trial reaching the engine has a nonincreasing w: ``TrialFunction``
+checks that once, when it is built, and ``_Plan.ratio`` relies on it.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ Anchor = Literal["left", "right"]
 _BLOCK_LOG_RANGE = 300.0
 
 # A gap between the two half-line energies of at most this many ulps of
-# the larger one is roundoff, not a step (see ``glue_full_line``).
+# the larger one is roundoff, not a step (see ``_full_line_problem``).
 _GAP_ULPS = 4
 
 
@@ -226,12 +228,16 @@ class HalfLinePair:
 @dataclass(frozen=True, eq=False)
 class FullLineProblem:
     """Glued second-stage problem: trial chi, whose w is the step at the
-    origin, the two channel energies and the side the step lifts."""
+    origin, and the two channel energies, right (E_a) and left (E_b).
+    Derived: ``step_side``, "left" if there is a step, else "none"."""
 
     chi: TrialFunction
     E_a: float
     E_b: float
-    step_side: Literal["left", "right", "none"]
+
+    @property
+    def step_side(self) -> Literal["left", "none"]:
+        return "left" if self.chi.w.jumps else "none"
 
 
 def _segment_blocks(L_seg: np.ndarray) -> list[tuple[int, int]]:
@@ -396,13 +402,13 @@ class _Plan:
         """Ratio R = phi^{-2} D with the scan switch at the charge sign change.
 
         Left of the switch the charge density is nonnegative, right of it
-        nonpositive (w decreasing), so each scan accumulates a
-        single-signed integrand and the ratio never suffers cancellation.
-        Both scans sum the same whole-grid increments, each only over its
-        own side of the switch node. R is exactly 0 at both domain ends by
-        construction; the two scans' agreement at the switch node is the
-        numerical zero-total-charge statement. R is the plan's buffer,
-        valid until the next call.
+        nonpositive (``TrialFunction`` checks that w is nonincreasing), so
+        each scan accumulates a single-signed integrand and the ratio never
+        suffers cancellation. Both scans sum the same whole-grid increments,
+        each only over its own side of the switch node. R is exactly 0 at
+        both domain ends by construction; the two scans' agreement at the
+        switch node is the numerical zero-total-charge statement. R is the
+        plan's buffer, valid until the next call.
         """
         positive = np.greater(q, 0.0, out=self.positive)
         for j, (lo, _hi) in jumps.items():
@@ -550,12 +556,16 @@ def iterate(
     anchors f = 1 at the origin (alternating sequence, interleaved bounds,
     fails by positivity_violation when w is too large).
     """
-    if case not in ("A", "B"):
-        raise ValueError("case must be 'A' or 'B'")
     if trial.domain_kind != "half_line_even":
         raise ValueError("iterate runs half-line trials; see iterate_full_line")
-    anchor: Anchor = "right" if case == "A" else "left"
-    return _run_engine(trial, case, anchor, opts)
+    return _run_engine(trial, case, _anchor(case), opts)
+
+
+def _anchor(case: Case) -> Anchor:
+    """Case A anchors f at the right edge, Case B at the left one."""
+    if case not in ("A", "B"):
+        raise ValueError("case must be 'A' or 'B'")
+    return "right" if case == "A" else "left"
 
 
 def solve_half_line_pair(
@@ -585,15 +595,9 @@ def glue_full_line(
     chi = phi * f on each side, with the minus side rescaled so
     chi(0-) = chi(0+); both one-sided slopes vanish at 0, so chi is a
     genuine C^1 trial. What remains of the perturbation is the step
-    |E_plus - E_minus| on the lower-energy side; the reference eigenvalue
-    is the larger half-line energy.
-
-    A gap of at most 4 ulps of max(|E_plus|, |E_minus|) counts as no step
-    (``step_side="none"``). Two limits that should agree, as at zero tilt,
-    where the minus side runs on the mirrored grid, differ by that much
-    roundoff; a step of that height would be iterated as if it were real.
+    E_plus - E_minus on the minus side (see ``_full_line_problem``, which
+    refuses E_plus below E_minus).
     """
-    E_a, E_b = half.E_plus, half.E_minus
     plus_grid = tplus.grid
     minus_grid_mirrored = mirror_grid(tminus.grid)
     full = concat_grids(minus_grid_mirrored, plus_grid)
@@ -607,41 +611,48 @@ def glue_full_line(
     log_chi = np.concatenate((log_chi_minus[::-1], log_chi_plus[1:]))
 
     V_full = np.concatenate((tminus.V.values[::-1], tplus.V.values[1:]))
+    return _full_line_problem(
+        Samples(full, log_chi, kind="log_amplitude"),
+        Samples(full, V_full),
+        half.E_plus,
+        half.E_minus,
+        f"glued({tplus.label}, {tminus.label})",
+    )
+
+
+def _full_line_problem(
+    log_phi: Samples, V: Samples, E_a: float, E_b: float, label: str
+) -> FullLineProblem:
+    """The full-line problem whose perturbation is the channel-gap step.
+
+    E_a and E_b are the right and left channels' energies; E0 is the larger.
+    w is the gap E_a - E_b left of the origin, the origin node holding both
+    one-sided values. A gap within 4 ulps of max(|E_a|, |E_b|) is roundoff,
+    as in a zero-tilt glue whose minus side runs on the mirrored grid, and
+    counts as no step. A negative gap would lift the right side: refused.
+    """
     gap = E_a - E_b
     if abs(gap) <= _GAP_ULPS * ulp(max(abs(E_a), abs(E_b))):
         gap = 0.0
-    w, step_side = _step_at_origin(full, gap)
-
-    chi = TrialFunction(
-        grid=full,
-        log_phi=Samples(full, log_chi, kind="log_amplitude"),
-        w=w,
-        E0=max(E_a, E_b),
-        V=Samples(full, V_full),
-        domain_kind="full_line",
-        label=f"glued({tplus.label}, {tminus.label})",
-    )
-    return FullLineProblem(chi=chi, E_a=E_a, E_b=E_b, step_side=step_side)
-
-
-def _step_at_origin(
-    grid: Grid, gap: float
-) -> tuple[Samples, Literal["left", "right", "none"]]:
-    """Step perturbation of height |gap| at x = 0, and the side it lifts.
-
-    ``gap`` is the right channel's energy minus the left one's; the lower
-    channel's side carries the step, and the origin node holds both
-    one-sided values.
-    """
+    if gap < 0.0:
+        raise ValueError(
+            f"{label}: the right channel lies below the left one "
+            f"(gap {gap:.6g}); mirror the problem so the step lifts the left side"
+        )
+    grid = log_phi.grid
     j0 = grid.index_of(0.0)
     w_vals = np.zeros(grid.n_nodes)
-    if gap > 0.0:
-        w_vals[:j0] = gap
-        return Samples(grid, w_vals, jumps={j0: (gap, 0.0)}), "left"
-    if gap < 0.0:
-        w_vals[j0 + 1 :] = -gap
-        return Samples(grid, w_vals, jumps={j0: (0.0, -gap)}), "right"
-    return Samples(grid, w_vals), "none"
+    w_vals[:j0] = gap
+    chi = TrialFunction(
+        grid=grid,
+        log_phi=log_phi,
+        w=Samples(grid, w_vals, jumps={j0: (gap, 0.0)} if gap else {}),
+        E0=max(E_a, E_b),
+        V=V,
+        domain_kind="full_line",
+        label=label,
+    )
+    return FullLineProblem(chi=chi, E_a=E_a, E_b=E_b)
 
 
 def iterate_full_line(
@@ -651,16 +662,13 @@ def iterate_full_line(
 ) -> IterationTrace:
     """Second-stage recursion on the glued problem.
 
-    Case A anchors f = 1 at the step-free edge (the monotone regime), Case
-    B at the step's edge (the alternating one). With no step, w is zero
-    and the run is Case A at the edge the requested case names: the right
-    one for A, the left one for B. The converged energy is chi.E0 minus
-    the final shift.
+    The step lifts the left side, so the anchors are ``iterate``'s: Case A
+    anchors f = 1 at the step-free right edge (the monotone regime), Case
+    B at the step's left edge (the alternating one). With no step, w is
+    zero and the run is Case A at the edge the requested case names. The
+    converged energy is chi.E0 minus the final shift.
     """
-    if case not in ("A", "B"):
-        raise ValueError("case must be 'A' or 'B'")
-    # a zero step is placed like a left one
-    anchor: Anchor = "right" if (case == "A") != (p.step_side == "right") else "left"
+    anchor = _anchor(case)
     if p.step_side == "none":
         case = "A"
     return _run_engine(p.chi, case, anchor, opts)

@@ -67,10 +67,9 @@ from .hierarchy import (
     FullLineProblem,
     IterateOptions,
     IterationTrace,
-    _step_at_origin,
+    _full_line_problem,
     iterate_full_line,
 )
-from .trialgen import TrialFunction
 
 __all__ = [
     "RegimeError",
@@ -921,23 +920,15 @@ def two_level_from_model(m: SquareWellModel) -> TwoLevelModel:
 
 
 def build_squarewell_problem(m: SquareWellModel, grid: Grid) -> FullLineProblem:
-    """Package the stitched trial and its step perturbation for the engine.
-
-    The perturbation is the comparison-well gap on the left half and zero
-    on the right; anchoring the iteration at the right wall then yields
-    the monotone regime of the method.
-    """
-    w, step_side = _step_at_origin(grid, m.E_gap)
-    chi = TrialFunction(
-        grid=grid,
-        log_phi=trial_log_samples(m, grid),
-        w=w,
-        E0=m.E_a,
-        V=potential_samples(m, grid),
-        domain_kind="full_line",
-        label=f"squarewell(W={m.W:g}, mu={m.mu:g}, alpha={m.alpha:g}, beta={m.beta:g})",
+    """Package the stitched trial for the engine: its perturbation is the
+    comparison-well gap E_a - E_b on the left half, zero on the right."""
+    return _full_line_problem(
+        trial_log_samples(m, grid),
+        potential_samples(m, grid),
+        m.E_a,
+        m.E_b,
+        f"squarewell(W={m.W:g}, mu={m.mu:g}, alpha={m.alpha:g}, beta={m.beta:g})",
     )
-    return FullLineProblem(chi=chi, E_a=m.E_a, E_b=m.E_b, step_side=step_side)
 
 
 def iterate_squarewell(

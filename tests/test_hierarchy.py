@@ -456,25 +456,64 @@ def test_step_anchor_stops_on_positivity_for_large_steps(glued_problem):
     assert tr_a.converged
 
 
-def test_right_step_anchors_mirror_the_left_step():
-    # swapping the channels puts the step on the right: Case A then
-    # anchors the left edge, Case B the right one, and the limit is the
-    # left-step problem's
-    grid = ws.quartic_grid(5.0, 400.0, full_line=True)
-    tp, tm = ws.build_asymmetric_quartic_trial(5.0, 0.2, grid)
-    half = ws.solve_half_line_pair(tp, tm)
+def test_swapped_glue_is_refused_in_one_line(glued_problem):
+    # swapping the channels would put the step on the right, where w rises
+    _p, half = glued_problem
+    tp, tm = ws.build_asymmetric_quartic_trial(
+        5.0, 0.2, ws.quartic_grid(5.0, 120.0, full_line=True)
+    )
     swapped = ws.HalfLinePair(
         trace_plus=half.trace_minus, trace_minus=half.trace_plus
     )
-    right = ws.glue_full_line(swapped, tm, tp)
-    assert right.step_side == "right"
-    tr_a = ws.iterate_full_line(right, "A")
-    tr_b = ws.iterate_full_line(right, "B")
-    assert (tr_a.case, tr_a.anchor) == ("A", "left")
-    assert (tr_b.case, tr_b.anchor) == ("B", "right")
-    left = ws.iterate_full_line(ws.glue_full_line(half, tp, tm), "A")
-    assert tr_a.converged and left.converged
-    assert abs(tr_a.E_limit - left.E_limit) < 1e-10
+    with pytest.raises(ValueError, match="mirror the problem") as exc:
+        ws.glue_full_line(swapped, tm, tp)
+    assert "\n" not in str(exc.value)
+
+
+def test_rising_w_is_not_monotone():
+    grid = ws.make_grid((-1.0, 1.0), 20.0, breakpoints=(0.0,))
+    j0 = grid.index_of(0.0)
+    w_vals = np.where(grid.nodes > 0.0, 0.5, 0.0)
+    zeros = ws.Samples(grid, np.zeros(grid.n_nodes))
+    with pytest.raises(
+        ValueError, match="not monotone; first offending node at x = 0$"
+    ):
+        ws.TrialFunction(
+            grid=grid,
+            log_phi=ws.Samples(grid, -grid.nodes**2, kind="log_amplitude"),
+            w=ws.Samples(grid, w_vals, jumps={j0: (0.0, 0.5)}),  # a right step
+            E0=1.0,
+            V=zeros,
+            domain_kind="full_line",
+        )
+
+
+def _asym_glue(lam):
+    grid = ws.quartic_grid(4.0, 100.0, full_line=True)
+    tp, tm = ws.build_asymmetric_quartic_trial(4.0, lam, grid)
+    return ws.glue_full_line(ws.solve_half_line_pair(tp, tm), tp, tm)
+
+
+def _level_well():
+    m = ws.solve_asymmetric(3.0, 0.0, 1.0, 2.0)
+    return ws.build_squarewell_problem(m, ws.squarewell_grid(m, 100.0))
+
+
+@pytest.mark.parametrize(
+    "build, side",
+    [
+        (lambda: _asym_glue(0.0), "none"),
+        (_level_well, "none"),
+        (lambda: _asym_glue(0.3), "left"),
+    ],
+    ids=["asym_lam0", "squarewell_mu0", "asym_lam03"],
+)
+def test_step_side_is_derived_from_w(build, side):
+    p = build()
+    assert p.step_side == side
+    assert "step_side" not in {f.name for f in dataclasses.fields(p)}
+    if side == "none":
+        assert not np.any(p.chi.w.values)
 
 
 # ---------------------------------------------------------------------------
