@@ -372,7 +372,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("x_max must be positive and finite when given")
     if cfg.engine.max_iter < 1:
         raise ConfigError("max_iter must be at least 1")
-    if cfg.engine.tol_e < 0 or cfg.engine.tol_f < 0:
+    if not (cfg.engine.tol_e >= 0 and cfg.engine.tol_f >= 0):  # NaN too
         raise ConfigError("tolerances must be nonnegative")
     for ok, reason in spec.checks:
         if not ok(p):

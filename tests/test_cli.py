@@ -272,6 +272,9 @@ def test_nonfinite_run_has_its_own_exit_code(tmp_path, capsys, g, density):
         (["solve", "sym_quartic", "--g", "inf"], "finite"),
         (["oracle", "sym_quartic", "--g", "2", "--grid-density", "150",
           "--levels", "0"], "levels"),
+        # a NaN tolerance would never stop the run
+        (["solve", "sym_quartic", "--g", "2", "--tol-e", "nan"], "tolerances"),
+        (["solve", "sym_quartic", "--g", "2", "--tol-f", "nan"], "tolerances"),
     ],
 )
 def test_non_finite_or_empty_flags_are_config_errors(capsys, argv, reason):
@@ -1033,6 +1036,21 @@ def test_sweep_refuses_square_well_x_max(tmp_path, capsys):
     points = json.loads((outdir / "manifest.json").read_text())["points"]
     assert [p["status"] for p in points] == ["tolerance", "error"]
     assert "x_max" in points[1]["error"]
+
+
+def test_sweep_refuses_nan_tolerance(tmp_path, capsys):
+    # Python's json reads NaN; such a point would iterate to the cap
+    cfg = tmp_path / "sweep.json"
+    doc = sweep_doc(sweep={"engine.tol_f": [1e-12, float("nan")]})
+    cfg.write_text(json.dumps(doc))
+    outdir = tmp_path / "out"
+    rc, _out, err = run(["sweep", "--config", str(cfg), "--outdir", str(outdir)],
+                        capsys)
+    assert rc == cli.EXIT_VERDICT
+    assert "1 converged, 1 failed" in err
+    points = json.loads((outdir / "manifest.json").read_text())["points"]
+    assert [p["status"] for p in points] == ["tolerance", "error"]
+    assert points[1]["error"] == "tolerances must be nonnegative"
 
 
 @pytest.mark.parametrize(
