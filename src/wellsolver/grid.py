@@ -137,9 +137,8 @@ class Samples:
         object.__setattr__(self, "values", values)
         if values.shape != self.grid.nodes.shape:
             raise ValueError("sample values must match the grid node count")
-        boundary = set(self.grid.boundary_indices)
         for j in self.jumps:
-            if j not in boundary:
+            if j not in self.grid.boundary_indices:
                 raise ValueError(
                     f"jump at node {j} is not on a segment boundary"
                 )

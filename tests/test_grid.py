@@ -180,6 +180,16 @@ def test_slice_requires_boundary_nodes():
         slice_grid(g, 0.0, 0.33)
 
 
+def test_jumps_only_on_segment_boundaries():
+    g = make_grid((0.0, 1.0), 20.0, breakpoints=(0.5,))
+    vals = np.zeros(g.n_nodes)
+    j = g.index_of(0.5)
+    for ok in (0, j, g.n_nodes - 1):
+        assert Samples(g, vals, jumps={ok: (1.0, 0.0)}).jumps
+    with pytest.raises(ValueError, match=f"jump at node {j + 1} is not on"):
+        Samples(g, vals, jumps={j: (1.0, 0.0), j + 1: (1.0, 0.0)})
+
+
 def test_concat_requires_shared_junction():
     with pytest.raises(ValueError, match="junction"):
         concat_grids(make_grid((0.0, 1.0), 20.0), make_grid((2.0, 3.0), 20.0))
