@@ -474,7 +474,6 @@ def test_rising_w_is_not_monotone():
     grid = ws.make_grid((-1.0, 1.0), 20.0, breakpoints=(0.0,))
     j0 = grid.index_of(0.0)
     w_vals = np.where(grid.nodes > 0.0, 0.5, 0.0)
-    zeros = ws.Samples(grid, np.zeros(grid.n_nodes))
     with pytest.raises(
         ValueError, match="not monotone; first offending node at x = 0$"
     ):
@@ -483,7 +482,7 @@ def test_rising_w_is_not_monotone():
             log_phi=ws.Samples(grid, -grid.nodes**2, kind="log_amplitude"),
             w=ws.Samples(grid, w_vals, jumps={j0: (0.0, 0.5)}),  # a right step
             E0=1.0,
-            V=zeros,
+            V=ws.Samples(grid, np.zeros(grid.n_nodes)),
             domain_kind="full_line",
         )
 
