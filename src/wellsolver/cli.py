@@ -41,7 +41,9 @@ be matched to the exact configuration that produced it; identical configs
 produce byte-identical files (no timestamps, floats at full precision).
 
 What a cold process loads follows its verb. This module imports the
-standard library and :mod:`wellsolver.ordering` only; ``grid``,
+standard library and :mod:`wellsolver.ordering` only, and hashes configs
+with the interpreter's builtin SHA-256 (``_sha2``, or ``_sha256`` before
+CPython 3.12), so no verb loads OpenSSL through :mod:`hashlib`; ``grid``,
 ``trialgen``, ``hierarchy``, ``oracle`` and ``squarewell`` (and numpy with
 them) are imported when a verb first calls into them. So ``certify`` runs
 without numpy; ``solve`` and ``sweep`` of ``harmonic`` or ``sym_quartic``
@@ -54,7 +56,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import re
@@ -68,6 +69,16 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
 
 from .ordering import IterateOptions, PairVerdict, _floor, certify_shift_sequence
+
+# The interpreter's builtin SHA-256, as random.py takes its sha512: hashlib
+# would load OpenSSL's libcrypto into every cold process for one digest.
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 if TYPE_CHECKING:
     import numpy as np
@@ -201,7 +212,7 @@ class ExperimentConfig:
 
 def config_hash(cfg: ExperimentConfig) -> str:
     blob = json.dumps(cfg.as_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

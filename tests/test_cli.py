@@ -8,6 +8,7 @@ tests exercise plumbing, not numerical accuracy.
 from __future__ import annotations
 
 import filecmp
+import hashlib
 import io
 import json
 import os
@@ -698,7 +699,7 @@ import json, sys
 from wellsolver import cli
 
 WATCHED = ("numpy", "fractions", "wellsolver.hierarchy", "wellsolver.oracle",
-           "wellsolver.squarewell")
+           "wellsolver.squarewell", "_hashlib")
 
 def loaded():
     return [m for m in WATCHED if m in sys.modules]
@@ -732,6 +733,7 @@ def test_cold_verbs_load_only_what_they_run(tmp_path, capsys):
     outdir.mkdir()
     (outdir / "junk.csv").write_text("not a trace\n")
     seen = _probe(_FOOTPRINT_PROBE, trace, sweep, outdir)
+    # no verb loads _hashlib (OpenSSL): configs hash with the builtin SHA-256
     assert seen == {
         # certify runs on the standard library and wellsolver.ordering
         "import": [],
@@ -1120,6 +1122,26 @@ def test_config_hash_ignores_param_order():
     b = cli.ExperimentConfig("asym_quartic", {"lam": 0.2, "g": 5.0})
     assert cli.config_hash(a) == cli.config_hash(b)
     assert len(cli.config_hash(a)) == 64
+
+
+_HASH_FALLBACK_PROBE = """
+import hashlib, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None  # no builtin SHA-256
+from wellsolver import cli
+cfg = cli.ExperimentConfig("sym_quartic", {"g": 2.0}, case="B")
+print(json.dumps({"fallback": cli.sha256 is hashlib.sha256,
+                  "hash": cli.config_hash(cfg)}))
+"""
+
+
+def test_config_hash_is_the_sha256_of_the_canonical_blob():
+    cfg = cli.ExperimentConfig("sym_quartic", {"g": 2.0}, case="B")
+    blob = json.dumps(cfg.as_dict(), sort_keys=True, separators=(",", ":"))
+    assert blob.startswith('{"case":"B","engine":{')
+    expected = hashlib.sha256(blob.encode()).hexdigest()
+    assert cli.config_hash(cfg) == expected
+    # where the interpreter has no builtin module, hashlib gives the same digest
+    assert _probe(_HASH_FALLBACK_PROBE) == {"fallback": True, "hash": expected}
 
 
 def test_config_hash_separates_cases():
