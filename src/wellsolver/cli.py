@@ -3,7 +3,8 @@
 Exit codes, shared by every verb:
 
 * 0 - success (for ``solve``: converged and the trace certifies)
-* 1 - a verdict failed (certification) or some sweep points failed
+* 1 - a verdict failed (certification), or some sweep points failed or
+  stopped unconverged
 * 2 - the run stopped on a positivity violation (Case B, w too large)
 * 3 - the run hit the iteration cap before the tolerances
 * 4 - bad configuration, unusable input file, or I/O failure
@@ -964,11 +965,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "points": entries,
     }
     (outdir / "manifest.json").write_text(_json(manifest))
-    failed = [e for e in entries if e.get("status") == "error"]
-    converged = sum(1 for e in entries if e.get("converged"))
+    # a point that stopped short of the tolerances failed, as its solve would
+    failed = sum(1 for e in entries if e["status"] != "tolerance")
     print(
-        f"sweep: {len(entries)} points, {converged} converged, "
-        f"{len(failed)} failed; manifest at {outdir / 'manifest.json'}",
+        f"sweep: {len(entries)} points, {len(entries) - failed} converged, "
+        f"{failed} failed; manifest at {outdir / 'manifest.json'}",
         file=sys.stderr,
     )
     return EXIT_VERDICT if failed else EXIT_OK

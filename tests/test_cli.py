@@ -1040,6 +1040,22 @@ def test_sweep_refuses_square_well_x_max(tmp_path, capsys):
     assert "x_max" in points[1]["error"]
 
 
+def test_sweep_counts_unconverged_points_as_failed(tmp_path, capsys):
+    doc = sweep_doc(sweep={"params.g": [1.5, 2.0]})
+    doc["base"]["engine"] = {"max_iter": 1}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(doc))
+    outdir = tmp_path / "out"
+    rc, _out, err = run(["sweep", "--config", str(cfg), "--outdir", str(outdir)],
+                        capsys)
+    # a solve of either point exits 3; the sweep fails them both
+    assert rc == cli.EXIT_VERDICT
+    assert "sweep: 2 points, 0 converged, 2 failed" in err
+    points = json.loads((outdir / "manifest.json").read_text())["points"]
+    assert [p["status"] for p in points] == ["max_iter", "max_iter"]
+    assert [p["converged"] for p in points] == [False, False]
+
+
 def test_sweep_refuses_nan_tolerance(tmp_path, capsys):
     # Python's json reads NaN; such a point would iterate to the cap
     cfg = tmp_path / "sweep.json"
