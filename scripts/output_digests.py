@@ -109,8 +109,8 @@ BAD_TRACES = {
 # configuration error per verb but certify; then a missing trace and the
 # BAD_TRACES, an eigensolve failure (exit 6), an unconverged half-line stage
 # (exit 5), a grid too large to allocate and an unsupported tilt (exit 4),
-# two unusable sweep configs, and an output that cannot be written for
-# every verb.
+# two unusable sweep configs, an output that cannot be written for every
+# verb, and a sweep whose points stop at the iteration cap (exit 1).
 SQUAREWELL = ["squarewell", *README_WELL, "--grid-density", "100"]
 ORACLE = ["oracle", "sym_quartic", "--g", "2", "--grid-density", "100"]
 TWOLEVEL = ["twolevel", "--e-inf", "1.5", "--lam", "0.01", "--mu-sq", "0.5"]
@@ -147,6 +147,8 @@ FAILURES = [
     # the point files are written, then the manifest, a directory, is not
     ("manifest_dir", ["sweep", "--config", "{dir}/sym_g.json",
                       "--outdir", "{dir}/manifest_dir"]),
+    (None, ["sweep", "--config", "{dir}/max_iter.json",
+            "--outdir", "{dir}/max_iter"]),
 ]
 
 
@@ -184,6 +186,12 @@ def main() -> int:
         for sweep, doc in (
             ("bad_version", {**SWEEPS["sym_g"], "version": "sweep-v0"}),
             ("bad_base", {**SWEEPS["sym_g"], "base": ["sym_quartic"]}),
+            ("max_iter", {
+                "version": cli.SWEEP_VERSION,
+                "base": {"problem": "sym_quartic", "params": {"g": 2.0},
+                         "engine": {"max_iter": 1}},
+                "sweep": {"params.g": [1.5, 2.0]},
+            }),
         ):
             (tmp / f"{sweep}.json").write_text(json.dumps(doc))
         (tmp / "manifest_dir" / "manifest.json").mkdir(parents=True)
