@@ -3,8 +3,7 @@
 Exit codes, shared by every verb:
 
 * 0 - success (for ``solve``: converged and the trace certifies)
-* 1 - a verdict failed (certification), or some sweep points failed or
-  stopped unconverged
+* 1 - a verdict failed (certification) or some sweep points failed
 * 2 - the run stopped on a positivity violation (Case B, w too large)
 * 3 - the run hit the iteration cap before the tolerances
 * 4 - bad configuration, unusable input file, or I/O failure
@@ -43,8 +42,7 @@ produce byte-identical files (no timestamps, floats at full precision).
 
 What a cold process loads follows its verb. This module imports the
 standard library and :mod:`wellsolver.ordering` only, and hashes configs
-with the interpreter's builtin SHA-256 (``_sha2``, or ``_sha256`` before
-CPython 3.12), so no verb loads OpenSSL through :mod:`hashlib`; ``grid``,
+with the builtin ``_sha2`` or ``_sha256``, not OpenSSL's; ``grid``,
 ``trialgen``, ``hierarchy``, ``oracle`` and ``squarewell`` (and numpy with
 them) are imported when a verb first calls into them. So ``certify`` runs
 without numpy; ``solve`` and ``sweep`` of ``harmonic`` or ``sym_quartic``
@@ -71,9 +69,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
 
 from .ordering import IterateOptions, PairVerdict, _floor, certify_shift_sequence
 
-# The interpreter's builtin SHA-256, as random.py takes its sha512: hashlib
-# would load OpenSSL's libcrypto into every cold process for one digest.
-try:
+try:  # the builtin SHA-256, as random.py's sha512: hashlib loads OpenSSL
     from _sha2 import sha256  # CPython >= 3.12
 except ImportError:
     try:
