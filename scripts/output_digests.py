@@ -64,6 +64,10 @@ REPORTS = [
                         "--grid-density", "100"]),
     ("oracle_sym.json", ["oracle", "sym_quartic", "--g", "2",
                          "--grid-density", "100", "--format", "json"]),
+    ("oracle_harmonic.txt", ["oracle", "harmonic", "--g", "2",
+                             "--grid-density", "100"]),
+    ("oracle_harmonic.json", ["oracle", "harmonic", "--g", "2",
+                              "--grid-density", "100", "--format", "json"]),
     ("oracle_asym.txt", ["oracle", "asym_quartic", "--g", "4", "--lam", "0.3",
                          "--grid-density", "100"]),
     ("oracle_asym.json", ["oracle", "asym_quartic", "--g", "4", "--lam", "0.3",
