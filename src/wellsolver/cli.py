@@ -27,9 +27,9 @@ its oracle potential. Every verb reads that one definition and offers
 only the flags it uses; a flag a verb does not take, or another
 problem's parameter flag, exits 4.
 
-``oracle`` solves ``harmonic`` and ``sym_quartic`` as the even sector on
-the half line, so the node count it reports for each level counts
-half-line nodes.
+``oracle`` solves every problem whose grid starts at x = 0 as the even
+sector on the half line, so the node count it reports for each level
+counts half-line nodes.
 
 An asym_quartic ``solve`` whose half-line stage stops unconverged exits
 with that stage's stop-reason code (2, 3 or 5) and writes no trace; a
@@ -42,9 +42,11 @@ produce byte-identical files (no timestamps, floats at full precision).
 
 What a cold process loads follows its verb. This module imports the
 standard library and :mod:`wellsolver.ordering` only, and hashes configs
-with the builtin ``_sha2`` or ``_sha256``, not OpenSSL's; ``grid``,
-``trialgen``, ``hierarchy``, ``oracle`` and ``squarewell`` (and numpy with
-them) are imported when a verb first calls into them. So ``certify`` runs
+with the builtin ``_sha2`` or ``_sha256``, not OpenSSL's. It reaches
+``grid``, ``trialgen``, ``hierarchy``, ``oracle`` and ``squarewell`` as
+attributes of the package, looked up when a call is made, so the
+package's own loader (its PEP 562 ``__getattr__``) imports each of them,
+and numpy with them, when a verb first calls into it. So ``certify`` runs
 without numpy; ``solve`` and ``sweep`` of ``harmonic`` or ``sym_quartic``
 load ``grid``, ``trialgen`` and ``hierarchy``; a square-well ``solve`` or
 ``sweep``, and ``twolevel``, add ``squarewell`` (and ``fractions``); only
@@ -61,11 +63,12 @@ import re
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from importlib import import_module
 from itertools import product
 from math import isfinite, sqrt
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
+
+import wellsolver as ws
 
 from .ordering import IterateOptions, PairVerdict, _floor, certify_shift_sequence
 
@@ -84,28 +87,6 @@ if TYPE_CHECKING:
     from .hierarchy import IterationTrace
     from .squarewell import SquareWellModel
 
-
-class _Lazy:
-    """A package module, imported on the first lookup of one of its names.
-
-    Every lookup goes to the module itself when the call is made, so a
-    wrapper set on one of its attributes sees every call a verb makes.
-    """
-
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-
-    def __getattr__(self, attr: str) -> Any:
-        return getattr(import_module(f"{__package__}.{self._name}"), attr)
-
-
-grids = _Lazy("grid")
-trialgen = _Lazy("trialgen")
-hierarchy = _Lazy("hierarchy")
-oracle = _Lazy("oracle")
-sw = _Lazy("squarewell")
 
 __all__ = [
     "ConfigError",
@@ -215,7 +196,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # problem registry
 #
-# Entries reach package functions through the lazy modules above, inside
+# Entries reach package functions as attributes of the package, inside
 # lambdas and helpers, so a problem's modules load when it is built.
 
 _Params = Mapping[str, float]
@@ -229,8 +210,8 @@ class _Problem(NamedTuple):
     square well, the solved model and its grid); ``trial(p, domain)``
     builds the engine's input and ``run(trial, case, opts)`` iterates on
     it; ``potential(p, domain)`` returns the oracle's samples and the
-    ``v_func`` it resamples refined grids from, and ``reflecting`` makes
-    the oracle solve the even sector with a reflecting end at x = 0.
+    ``v_func`` it resamples refined grids from; the oracle solves a grid
+    that starts at x = 0 as the even sector, with a reflecting end there.
     ``walls`` marks a domain fixed by hard walls, where x_max is refused.
     A closed-form reduction has no domain and no cases. (A NamedTuple
     rather than a dataclass: every cold process builds this class, and a
@@ -244,25 +225,24 @@ class _Problem(NamedTuple):
     trial: Callable[[_Params, Any], Any] | None = None
     run: Callable[[Any, str, IterateOptions], IterationTrace] | None = None
     potential: Callable[[_Params, Any], tuple[Samples, Any]] | None = None
-    reflecting: bool = False
     walls: bool = False
 
 
 def _run_glued(pair: Any, case: str, opts: IterateOptions) -> IterationTrace:
     tplus, tminus = pair
-    half = hierarchy.solve_half_line_pair(tplus, tminus, opts)
-    problem = hierarchy.glue_full_line(half, tplus, tminus)
-    return hierarchy.iterate_full_line(problem, case, opts)
+    half = ws.hierarchy.solve_half_line_pair(tplus, tminus, opts)
+    problem = ws.hierarchy.glue_full_line(half, tplus, tminus)
+    return ws.hierarchy.iterate_full_line(problem, case, opts)
 
 
 def _harmonic_grid(p: _Params, spec: GridSpec) -> Grid:
     x_max = spec.x_max if spec.x_max is not None else 8.0 / sqrt(p["g"])
-    return grids.make_grid((0.0, x_max), spec.density)
+    return ws.grid.make_grid((0.0, x_max), spec.density)
 
 
 def _well(p: _Params, spec: GridSpec) -> tuple[SquareWellModel, Grid]:
-    model = sw.solve_asymmetric(p["W"], p["mu"], p["alpha"], p["beta"])
-    return model, sw.squarewell_grid(model, spec.density)
+    model = ws.squarewell.solve_asymmetric(p["W"], p["mu"], p["alpha"], p["beta"])
+    return model, ws.squarewell.squarewell_grid(model, spec.density)
 
 
 def _sampled(
@@ -270,7 +250,7 @@ def _sampled(
 ) -> tuple[Samples, Any]:
     """Oracle potential V(x) = v(p, x) on the grid, and V for refined grids."""
     v_func = partial(v, p)
-    return grids.Samples(grid, v_func(grid.nodes)), v_func
+    return ws.grid.Samples(grid, v_func(grid.nodes)), v_func
 
 
 # Above this coupling the trial builders' 2 g (g - 1) (from g ~ 9.5e153) and
@@ -283,21 +263,21 @@ _PROBLEMS: dict[str, _Problem] = {
         params=("g",),
         checks=((lambda p: p["g"] > 0, "g must be positive"), _G_BOUND),
         domain=_harmonic_grid,
-        trial=lambda p, grid: trialgen.build_harmonic_trial(p["g"], grid),
-        run=lambda trial, case, opts: hierarchy.iterate(trial, case, opts),
-        potential=partial(_sampled, lambda p, x: 0.5 * p["g"] ** 2 * x**2),
-        reflecting=True,
+        trial=lambda p, grid: ws.trialgen.build_harmonic_trial(p["g"], grid),
+        run=lambda trial, case, opts: ws.hierarchy.iterate(trial, case, opts),
+        potential=partial(
+            _sampled, lambda p, x: ws.trialgen._harmonic_potential(p["g"], x)
+        ),
     ),
     "sym_quartic": _Problem(
         params=("g",),
         checks=((lambda p: p["g"] >= 1.0, "g must be >= 1"), _G_BOUND),
-        domain=lambda p, s: trialgen.quartic_grid(p["g"], s.density, x_max=s.x_max),
-        trial=lambda p, grid: trialgen.build_symmetric_quartic_trial(p["g"], grid),
-        run=lambda trial, case, opts: hierarchy.iterate(trial, case, opts),
+        domain=lambda p, s: ws.trialgen.quartic_grid(p["g"], s.density, x_max=s.x_max),
+        trial=lambda p, grid: ws.trialgen.build_symmetric_quartic_trial(p["g"], grid),
+        run=lambda trial, case, opts: ws.hierarchy.iterate(trial, case, opts),
         potential=partial(
-            _sampled, lambda p, x: trialgen._quartic_potential(p["g"], 0.0, x)
+            _sampled, lambda p, x: ws.trialgen._quartic_potential(p["g"], 0.0, x)
         ),
-        reflecting=True,
     ),
     "asym_quartic": _Problem(
         params=("g", "lam"),
@@ -306,15 +286,15 @@ _PROBLEMS: dict[str, _Problem] = {
             (lambda p: p["g"] > 1.0 + p["lam"], "need g > 1 + lam"),
             _G_BOUND,
         ),
-        domain=lambda p, s: trialgen.quartic_grid(
+        domain=lambda p, s: ws.trialgen.quartic_grid(
             p["g"], s.density, x_max=s.x_max, full_line=True
         ),
-        trial=lambda p, grid: trialgen.build_asymmetric_quartic_trial(
+        trial=lambda p, grid: ws.trialgen.build_asymmetric_quartic_trial(
             p["g"], p["lam"], grid
         ),
         run=_run_glued,
         potential=partial(
-            _sampled, lambda p, x: trialgen._quartic_potential(p["g"], p["lam"], x)
+            _sampled, lambda p, x: ws.trialgen._quartic_potential(p["g"], p["lam"], x)
         ),
     ),
     "squarewell": _Problem(
@@ -329,8 +309,10 @@ _PROBLEMS: dict[str, _Problem] = {
         ),
         domain=_well,
         trial=lambda p, well: well,
-        run=lambda well, case, opts: sw.iterate_squarewell(*well, opts, case),
-        potential=lambda p, well: (sw.potential_samples(*well), None),
+        run=lambda well, case, opts: ws.squarewell.iterate_squarewell(
+            *well, opts, case
+        ),
+        potential=lambda p, well: (ws.squarewell.potential_samples(*well), None),
         walls=True,
     ),
     "two_level": _Problem(
@@ -722,7 +704,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     code = _stop_exit(trace.stop_reason)
     if code != EXIT_OK:
         return code
-    report = hierarchy.certify(trace)
+    report = ws.hierarchy.certify(trace)
     if not report.ok:
         print(
             f"converged but certification failed (worst margin "
@@ -760,11 +742,9 @@ def cmd_squarewell(args: argparse.Namespace) -> int:
     spec = _PROBLEMS[cfg.problem]
     trace = spec.run(well, cfg.case, cfg.engine)
     E_engine = trace.states[-1].E_n
-    fd = oracle.fd_ground_state(
-        V, v_func=v_func, mirror_even=spec.reflecting, levels=2
-    )
-    shift = sw.exact_shift(model, grid)
-    tl = sw.two_level_from_model(model)
+    fd = ws.oracle.fd_ground_state(V, v_func=v_func, levels=2)
+    shift = ws.squarewell.exact_shift(model, grid)
+    tl = ws.squarewell.two_level_from_model(model)
 
     E_t = model.E
     report = {
@@ -818,7 +798,7 @@ def cmd_twolevel(args: argparse.Namespace) -> int:
     validate_config(cfg)
     p = {k: float(v) for k, v in cfg.params.items()}
     try:
-        tl = sw.two_level(p["E_inf"], p["lam"], p["mu_sq"])
+        tl = ws.squarewell.two_level(p["E_inf"], p["lam"], p["mu_sq"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = {
@@ -847,11 +827,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.levels < 1:
         raise ConfigError("--levels must be at least 1")
     _domain, (V, v_func) = _build(cfg, "potential")
-    res = oracle.fd_ground_state(
-        V,
-        v_func=v_func,
-        mirror_even=_PROBLEMS[cfg.problem].reflecting,
-        levels=args.levels,
+    res = ws.oracle.fd_ground_state(
+        V, v_func=v_func, mirror_even=V.grid.x_min == 0.0, levels=args.levels
     )
     ref = res.refinement
     # a single level has no refinement study: its raw eigenvalue stands alone

@@ -649,7 +649,6 @@ def _full_line_problem(
         w=Samples(grid, w_vals, jumps={j0: (gap, 0.0)} if gap else {}),
         E0=max(E_a, E_b),
         V=V,
-        domain_kind="full_line",
         label=label,
     )
     return FullLineProblem(chi=chi, E_a=E_a, E_b=E_b)

@@ -52,11 +52,12 @@ class TrialFunction:
 
     ``log_phi`` is log phi (phi > 0 everywhere, so finite);
     ``w`` = U - V may carry jump samples at breakpoints; ``E0`` satisfies
-    (-1/2 d2/dx2 + V + w) phi = E0 phi. ``domain_kind`` distinguishes
-    half-line problems with a reflecting origin (phi'(0) = 0) from genuine
-    full-line ones. Construction raises ValueError unless w is
-    nonincreasing, which the iteration's convergence proof and the engine's
-    ratio scans consume; so a full-line step lifts the left side.
+    (-1/2 d2/dx2 + V + w) phi = E0 phi. ``domain_kind`` is derived from
+    the grid, never given: a grid that starts at x = 0 is a half line with
+    a reflecting origin (phi'(0) = 0), any other a full line. Construction
+    raises ValueError unless w is nonincreasing, which the iteration's
+    convergence proof and the engine's ratio scans consume; so a full-line
+    step lifts the left side.
     """
 
     grid: Grid
@@ -64,7 +65,6 @@ class TrialFunction:
     w: Samples
     E0: float
     V: Samples
-    domain_kind: Literal["half_line_even", "full_line"]
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -79,6 +79,10 @@ class TrialFunction:
                 f"w of {self.label or 'the trial'} is not monotone; "
                 f"first offending node at x = {x:.6g}"
             )
+
+    @property
+    def domain_kind(self) -> Literal["half_line_even", "full_line"]:
+        return "half_line_even" if self.grid.x_min == 0.0 else "full_line"
 
 
 @dataclass(frozen=True)
@@ -131,10 +135,14 @@ def build_harmonic_trial(g: float, grid: Grid) -> TrialFunction:
         log_phi=Samples(grid, -0.5 * g * x**2, kind="log_amplitude"),
         w=Samples(grid, np.zeros_like(x)),
         E0=0.5 * g,
-        V=Samples(grid, 0.5 * g**2 * x**2),
-        domain_kind="half_line_even" if grid.x_min == 0.0 else "full_line",
+        V=Samples(grid, _harmonic_potential(g, x)),
         label=f"harmonic(g={g:g})",
     )
+
+
+def _harmonic_potential(g: float, x: np.ndarray) -> np.ndarray:
+    """V = g^2 x^2 / 2, the harmonic potential."""
+    return 0.5 * g**2 * x**2
 
 
 def _quartic_potential(g: float, lam: float, x: np.ndarray) -> np.ndarray:
@@ -195,7 +203,6 @@ def _half_quartic_trial(
         w=w,
         E0=g * (1.0 + lam),
         V=Samples(grid, _quartic_potential(g, lam, x)),
-        domain_kind="half_line_even",
         label=label,
     )
 

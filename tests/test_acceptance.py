@@ -9,7 +9,6 @@ then frozen.  Expensive runs are shared through module fixtures.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -73,7 +72,6 @@ def test_c01_flat_perturbation_is_an_exact_fixed_point():
     for g in (1.0, 2.0):
         grid = ws.make_grid(8.0 / math.sqrt(g), 120.0)
         trial = ws.build_harmonic_trial(g, grid)
-        trial = dataclasses.replace(trial, domain_kind="half_line_even")
         trace = ws.iterate(trial, "A")
         assert all(s == 0.0 for s in trace.shifts), "corrections must vanish"
         assert trace.E_limit == pytest.approx(g / 2, abs=1e-10)

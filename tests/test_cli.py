@@ -694,7 +694,7 @@ def test_engine_verbs_never_load_scipy(tmp_path):
     assert seen == {"import": [], "engine": [], "squarewell": [], "oracle": []}
 
 
-_FOOTPRINT_PROBE = """
+_WATCH = """
 import json, sys
 from wellsolver import cli
 
@@ -703,7 +703,9 @@ WATCHED = ("numpy", "fractions", "wellsolver.hierarchy", "wellsolver.oracle",
 
 def loaded():
     return [m for m in WATCHED if m in sys.modules]
+"""
 
+_FOOTPRINT_PROBE = _WATCH + """
 trace, sweep, outdir = sys.argv[1:4]
 seen = {"import": loaded()}
 assert cli.main(["certify", trace, "--out", outdir + "/c.json"]) == 0
@@ -746,6 +748,21 @@ def test_cold_verbs_load_only_what_they_run(tmp_path, capsys):
         "squarewell": ["numpy", "fractions", "wellsolver.hierarchy",
                        "wellsolver.oracle", "wellsolver.squarewell"],
     }
+
+
+_ORACLE_FOOTPRINT_PROBE = _WATCH + """
+assert cli.main(["oracle", *sys.argv[1:]]) == 0
+print(json.dumps(loaded()))
+"""
+
+
+@pytest.mark.parametrize("problem", ["sym_quartic", "harmonic"])
+def test_cold_oracle_loads_only_the_oracle(tmp_path, problem):
+    seen = _probe(_ORACLE_FOOTPRINT_PROBE, problem, "--g", "2",
+                  "--grid-density", "100", "--out", tmp_path / "o.txt")
+    # a reflecting-end problem builds its grid and potential and solves it:
+    # no engine, no square well
+    assert seen == ["numpy", "wellsolver.oracle"]
 
 
 def test_package_names_are_their_home_modules_objects():

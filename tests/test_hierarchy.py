@@ -31,7 +31,6 @@ def _toy(density=30.0):
         w=w,
         E0=1.0,
         V=ws.Samples(g, np.zeros(g.n_nodes)),
-        domain_kind="half_line_even",
     )
     return hierarchy._make_plan(trial), np.ones(g.n_nodes), w, phi_sq
 
@@ -72,9 +71,10 @@ def test_step_anchors_f_at_its_own_edge():
 
 
 def test_iterate_needs_half_line_trial():
-    t = ws.build_symmetric_quartic_trial(2.0, ws.quartic_grid(2.0, 40.0))
+    full = ws.build_harmonic_trial(2.0, ws.make_grid((-6.0, 6.0), 40.0))
     with pytest.raises(ValueError, match="half-line"):
-        ws.iterate(dataclasses.replace(t, domain_kind="full_line"), "A")
+        ws.iterate(full, "A")
+    t = ws.build_symmetric_quartic_trial(2.0, ws.quartic_grid(2.0, 40.0))
     with pytest.raises(ValueError, match="case"):
         ws.iterate(t, "C")
 
@@ -94,7 +94,7 @@ def test_iterate_rejects_non_monotone_perturbation():
 def test_harmonic_trial_is_a_fixed_point():
     g = ws.make_grid(6.0, 60.0)
     t = ws.build_harmonic_trial(1.0, g)
-    tr = ws.iterate(dataclasses.replace(t, domain_kind="half_line_even"), "A")
+    tr = ws.iterate(t, "A")
     assert tr.converged
     assert all(s == 0.0 for s in tr.shifts)
     assert tr.E_limit == 0.5
@@ -280,7 +280,6 @@ def test_plan_ratio_matches_plain_cumulatives(shift):
         w=w,
         E0=1.0,
         V=ws.Samples(grid, np.zeros_like(x)),
-        domain_kind="half_line_even",
     )
     plan = hierarchy._make_plan(trial)
     assert sum(b.j1 <= j for b in plan.blocks) == 3
@@ -483,7 +482,6 @@ def test_rising_w_is_not_monotone():
             w=ws.Samples(grid, w_vals, jumps={j0: (0.0, 0.5)}),  # a right step
             E0=1.0,
             V=ws.Samples(grid, np.zeros(grid.n_nodes)),
-            domain_kind="full_line",
         )
 
 
@@ -513,6 +511,24 @@ def test_step_side_is_derived_from_w(build, side):
     assert "step_side" not in {f.name for f in dataclasses.fields(p)}
     if side == "none":
         assert not np.any(p.chi.w.values)
+
+
+@pytest.mark.parametrize(
+    "build, kind",
+    [
+        (lambda: ws.build_harmonic_trial(1.0, ws.make_grid(6.0, 60.0)),
+         "half_line_even"),
+        (lambda: ws.build_harmonic_trial(1.0, ws.make_grid((-6.0, 6.0), 60.0)),
+         "full_line"),
+        (lambda: _asym_glue(0.3).chi, "full_line"),
+    ],
+    ids=["harmonic_half", "harmonic_full", "asym_glued"],
+)
+def test_domain_kind_is_derived_from_the_grid(build, kind):
+    trial = build()
+    assert trial.domain_kind == kind
+    assert (kind == "half_line_even") == (trial.grid.x_min == 0.0)
+    assert "domain_kind" not in {f.name for f in dataclasses.fields(trial)}
 
 
 # ---------------------------------------------------------------------------
