@@ -509,26 +509,11 @@ def test_step_side_is_derived_from_w(build, side):
     p = build()
     assert p.step_side == side
     assert "step_side" not in {f.name for f in dataclasses.fields(p)}
+    # so is the domain kind: a full-line grid does not start at 0
+    assert p.chi.domain_kind == "full_line"
+    assert "domain_kind" not in {f.name for f in dataclasses.fields(p.chi)}
     if side == "none":
         assert not np.any(p.chi.w.values)
-
-
-@pytest.mark.parametrize(
-    "build, kind",
-    [
-        (lambda: ws.build_harmonic_trial(1.0, ws.make_grid(6.0, 60.0)),
-         "half_line_even"),
-        (lambda: ws.build_harmonic_trial(1.0, ws.make_grid((-6.0, 6.0), 60.0)),
-         "full_line"),
-        (lambda: _asym_glue(0.3).chi, "full_line"),
-    ],
-    ids=["harmonic_half", "harmonic_full", "asym_glued"],
-)
-def test_domain_kind_is_derived_from_the_grid(build, kind):
-    trial = build()
-    assert trial.domain_kind == kind
-    assert (kind == "half_line_even") == (trial.grid.x_min == 0.0)
-    assert "domain_kind" not in {f.name for f in dataclasses.fields(trial)}
 
 
 # ---------------------------------------------------------------------------
