@@ -106,6 +106,10 @@ BAD_TRACES = {
         b'{"version": "trace-v1", "case": "A", "rows": [{"n": 0}, {"n": 1}]}',
     "rows_not_a_list.json": b'{"version": "trace-v1", "case": "A", "rows": 3}',
     "not_utf8.csv": b"\xff\xfe# trace-v1 config=\n",
+    "rows_skip_an_n.json": json.dumps({
+        "version": "trace-v1", "case": "A",
+        "rows": [dict.fromkeys(cli.TRACE_COLUMNS, 0.0) | {"n": n} for n in (0, 2)],
+    }).encode(),
 }
 
 # (name of the output to digest if it appears, or None; command line);

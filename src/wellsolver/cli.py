@@ -536,6 +536,8 @@ def read_trace(text: str) -> dict[str, Any]:
         raise _TraceError(f"row lacks column {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise _TraceError(f"bad row: {exc}") from exc
+    if [r["n"] for r in rows] != list(range(len(rows))):
+        raise _TraceError("rows must be numbered 0, 1, 2, ... in order")
     return {**head, "rows": rows}
 
 

@@ -12,12 +12,13 @@ Integrands live in :class:`Samples`. A sample set may carry two-sided
 values at segment-boundary nodes (``jumps``); quadrature then uses the
 one-sided value belonging to each adjacent panel, which keeps the pair
 rules exact for piecewise-smooth integrands with breakpoint-aligned
-discontinuities.
+discontinuities. Holding a log amplitude ``log_phi`` = log phi in a
+``Samples`` is the caller's convention; :func:`bracket` weighs by it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import ceil
 from typing import Iterable, Literal, Mapping, Sequence
 
@@ -120,16 +121,14 @@ class Grid:
 class Samples:
     """Function values on a grid, optionally with two-sided jump values.
 
-    ``kind`` records whether ``values`` are the function itself ("plain") or
-    its log-amplitude ("log_amplitude", used for wavefunctions whose dynamic
-    range exceeds float64). ``jumps`` maps a segment-boundary node index to
-    ``(left_value, right_value)``; the array entry at such a node is
-    whichever side the producer deemed canonical and quadrature ignores it.
+    ``jumps`` maps a segment-boundary node index to ``(left_value,
+    right_value)``; the array entry at such a node is whichever side the
+    producer deemed canonical and quadrature ignores it. Whether ``values``
+    are a log amplitude ``log_phi`` is the caller's convention.
     """
 
     grid: Grid
     values: Array
-    kind: Literal["plain", "log_amplitude"] = "plain"
     jumps: Mapping[int, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -142,9 +141,6 @@ class Samples:
                 raise ValueError(
                     f"jump at node {j} is not on a segment boundary"
                 )
-
-    def with_values(self, values: Array) -> "Samples":
-        return replace(self, values=values)
 
 
 def make_grid(
@@ -295,8 +291,6 @@ def panel_increments(f: Samples) -> Array:
     pair starting there takes the right value and the pair ending there
     the left one.
     """
-    if f.kind != "plain":
-        raise ValueError("quadrature needs plain samples")
     v = f.values
     a, b, c = v[0:-1:2], v[1::2], v[2::2]
     if f.jumps:
@@ -351,31 +345,18 @@ def cumulative_from(f: Samples, origin: Literal["left", "right"]) -> Samples:
     return Samples(f.grid, _cumulate(inc, origin, np.empty(inc.size + 1)))
 
 
-def bracket(f: Samples, phi_sq: Samples) -> float:
+def bracket(f: Samples, log_phi: Samples) -> float:
     """Weighted integral ``[f] = integral of phi^2(x) f(x) dx``.
 
-    This is the expectation functional of the iteration framework. The
-    weight ``phi_sq`` is either the squared wavefunction itself ("plain",
-    must be >= 0) or the wavefunction's log-amplitude L ("log_amplitude",
-    weighting by exp(2L)). The log route rescales by the maximum before
-    exponentiating, so hard-wall zeros (L = -inf) and deep tails contribute
-    an honest 0 instead of overflowing or trapping.
+    This is the expectation functional of the iteration framework. By the
+    caller's convention ``log_phi`` holds L = log phi, whose phi^2 = exp(2L)
+    can overflow float64. L is rescaled by its maximum before exponentiating,
+    so hard-wall zeros (L = -inf) and deep tails contribute an honest 0
+    instead of overflowing or trapping.
     """
-    if phi_sq.grid is not f.grid:
+    if log_phi.grid is not f.grid:
         raise ValueError("samples must share one grid object")
-    if phi_sq.kind == "plain":
-        if np.any(phi_sq.values < 0.0):
-            raise ValueError("plain phi_sq weight must be nonnegative")
-        weighted = Samples(
-            f.grid,
-            f.values * phi_sq.values,
-            jumps={
-                j: (lo * phi_sq.values[j], hi * phi_sq.values[j])
-                for j, (lo, hi) in f.jumps.items()
-            },
-        )
-        return integrate(weighted)
-    log_w = phi_sq.values
+    log_w = log_phi.values
     ref = float(np.max(log_w))
     if ref == -np.inf:
         return 0.0

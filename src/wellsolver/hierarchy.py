@@ -612,7 +612,7 @@ def glue_full_line(
 
     V_full = np.concatenate((tminus.V.values[::-1], tplus.V.values[1:]))
     return _full_line_problem(
-        Samples(full, log_chi, kind="log_amplitude"),
+        Samples(full, log_chi),
         Samples(full, V_full),
         half.E_plus,
         half.E_minus,

@@ -595,7 +595,7 @@ def trial_log_samples(m: SquareWellModel, grid: Grid) -> Samples:
         L[barrier] = _log_cosh(q * u[barrier])
     L[0] = -np.inf
     L[-1] = -np.inf
-    return Samples(grid, L, kind="log_amplitude")
+    return Samples(grid, L)
 
 
 def trial_values(m: SquareWellModel, x: np.ndarray) -> np.ndarray:

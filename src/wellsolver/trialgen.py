@@ -132,7 +132,7 @@ def build_harmonic_trial(g: float, grid: Grid) -> TrialFunction:
     x = grid.nodes
     return TrialFunction(
         grid=grid,
-        log_phi=Samples(grid, -0.5 * g * x**2, kind="log_amplitude"),
+        log_phi=Samples(grid, -0.5 * g * x**2),
         w=Samples(grid, np.zeros_like(x)),
         E0=0.5 * g,
         V=Samples(grid, _harmonic_potential(g, x)),
@@ -199,7 +199,7 @@ def _half_quartic_trial(
 
     return TrialFunction(
         grid=grid,
-        log_phi=Samples(grid, log_phi, kind="log_amplitude"),
+        log_phi=Samples(grid, log_phi),
         w=w,
         E0=g * (1.0 + lam),
         V=Samples(grid, _quartic_potential(g, lam, x)),

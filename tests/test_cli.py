@@ -224,6 +224,24 @@ def test_malformed_trace_rows_exit_4_in_one_line(tmp_path, capsys, body):
     assert len(err.splitlines()) == 1 and err.startswith("malformed trace: ")
 
 
+@pytest.mark.parametrize("edit", ["deleted", "duplicated"])
+def test_trace_rows_must_number_every_iterate_once(tmp_path, capsys, edit):
+    # a skipped n hides an iterate from the ordering checks, and a repeated
+    # one passes as a tie with margin 0
+    path = tmp_path / "t.csv"
+    assert cli.main(["solve", "sym_quartic", "--g", "2", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    i = next(i for i, l in enumerate(lines) if l.startswith("4,"))
+    lines[i : i + 1] = [] if edit == "deleted" else [lines[i]] * 2
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc, out, err = run(["certify", str(path)], capsys)
+    assert rc == cli.EXIT_CONFIG and out == ""
+    assert err.splitlines() == [
+        "malformed trace: rows must be numbered 0, 1, 2, ... in order"
+    ]
+
+
 # exit codes
 
 
@@ -781,6 +799,18 @@ def test_package_names_are_their_home_modules_objects():
     assert set(ws.__all__) <= set(dir(ws))
     with pytest.raises(AttributeError):
         ws.no_such_name
+
+
+def test_package_loader_table_matches_the_modules_all():
+    # a public name missing from _HOME could not be reached as ws.<name>
+    import importlib
+
+    import wellsolver as ws
+
+    modules = {m: importlib.import_module(f"wellsolver.{m}") for m in ws._SUBMODULES}
+    assert set(ws._HOME) == set().union(*(m.__all__ for m in modules.values()))
+    for name, home in ws._HOME.items():
+        assert name in modules[home].__all__, name
 
 
 def test_unexpected_exception_exits_internal(monkeypatch, capsys):

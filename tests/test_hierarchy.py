@@ -27,7 +27,7 @@ def _toy(density=30.0):
     phi_sq = ws.Samples(g, np.exp(-g.nodes))
     trial = ws.TrialFunction(
         grid=g,
-        log_phi=ws.Samples(g, -0.5 * g.nodes, kind="log_amplitude"),
+        log_phi=ws.Samples(g, -0.5 * g.nodes),
         w=w,
         E0=1.0,
         V=ws.Samples(g, np.zeros(g.n_nodes)),
@@ -42,8 +42,9 @@ def _toy(density=30.0):
 def test_step_shift_zeroes_total_charge():
     plan, one, w, phi_sq = _toy()
     _num, _den, shift, _f = hierarchy._step(plan, one, "right")
-    charge = ws.bracket(ws.Samples(plan.grid, w.values - shift), phi_sq)
-    assert abs(charge) < 1e-15 * abs(ws.bracket(w, phi_sq))
+    charge = ws.integrate(ws.Samples(plan.grid, (w.values - shift) * phi_sq.values))
+    total = ws.integrate(ws.Samples(plan.grid, w.values * phi_sq.values))
+    assert abs(charge) < 1e-15 * abs(total)
 
 
 def test_step_displacement_vanishes_at_far_edge():
@@ -146,7 +147,6 @@ def test_case_b_stops_on_positivity_when_w_is_huge():
     big = ws.Samples(
         t.w.grid,
         t.w.values * 400.0,
-        kind=t.w.kind,
         jumps={k: (a * 400.0, b * 400.0) for k, (a, b) in t.w.jumps.items()},
     )
     tr = ws.iterate(dataclasses.replace(t, w=big), "B", CAPPED)
@@ -276,7 +276,7 @@ def test_plan_ratio_matches_plain_cumulatives(shift):
     w = ws.Samples(grid, w_vals, jumps={j: (0.8, 0.5)})
     trial = ws.TrialFunction(
         grid=grid,
-        log_phi=ws.Samples(grid, L, kind="log_amplitude"),
+        log_phi=ws.Samples(grid, L),
         w=w,
         E0=1.0,
         V=ws.Samples(grid, np.zeros_like(x)),
@@ -478,7 +478,7 @@ def test_rising_w_is_not_monotone():
     ):
         ws.TrialFunction(
             grid=grid,
-            log_phi=ws.Samples(grid, -grid.nodes**2, kind="log_amplitude"),
+            log_phi=ws.Samples(grid, -grid.nodes**2),
             w=ws.Samples(grid, w_vals, jumps={j0: (0.0, 0.5)}),  # a right step
             E0=1.0,
             V=ws.Samples(grid, np.zeros(grid.n_nodes)),

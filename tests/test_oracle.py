@@ -70,7 +70,7 @@ def test_richardson_beats_raw_levels(moderate_model, moderate_grid):
 def test_ground_state_vector_contract(moderate_model, moderate_grid):
     res = ws.fd_ground_state(ws.potential_samples(moderate_model, moderate_grid), levels=2)
     psi = res.psi
-    norm = ws.integrate(psi.with_values(psi.values**2))
+    norm = ws.integrate(ws.Samples(psi.grid, psi.values**2))
     assert math.isclose(norm, 1.0, rel_tol=1e-12)
     assert np.all(psi.values >= 0.0)  # nodeless, sign fixed
     assert psi.values[0] == psi.values[-1] == 0.0  # hard walls
@@ -118,7 +118,7 @@ def test_even_ground_state_lives_on_the_half_line():
     assert psi.grid is grid
     assert psi.values[0] > 0.0 and psi.values[-1] == 0.0
     assert np.all(psi.values >= 0.0)
-    norm = ws.integrate(psi.with_values(psi.values**2))
+    norm = ws.integrate(ws.Samples(psi.grid, psi.values**2))
     assert math.isclose(norm, 1.0, rel_tol=1e-12)
 
 

@@ -193,7 +193,6 @@ def test_states_vanish_at_walls_and_stay_continuous(moderate_model):
 
 def test_trial_log_samples_mark_hard_walls(moderate_model, moderate_grid):
     L = trial_log_samples(moderate_model, moderate_grid)
-    assert L.kind == "log_amplitude"
     assert np.isneginf(L.values[0]) and np.isneginf(L.values[-1])
     assert np.all(np.isfinite(L.values[1:-1]))
 
