@@ -139,8 +139,8 @@ def test_bracket_log_weight_ratio_is_shift_invariant():
 
 
 def test_bracket_log_weight_survives_600_decade_range():
-    # plain exp(2L) underflows at the edges (2L down to -1000); the log
-    # route must still integrate the peak region at quadrature accuracy
+    # exp(2L) itself underflows at the edges (2L down to -1000); the log
+    # weight must still integrate the peak region at quadrature accuracy
     g = make_grid((0.0, 1.0), 600.0)
     a = 2000.0
     L = -a * (g.nodes - 0.5) ** 2
